@@ -1,11 +1,5 @@
 package dualjoin
 
-import (
-	"sync"
-
-	"mccatch/internal/parallel"
-)
-
 // This file holds the cross-join half of the shared machinery: where the
 // self-join accumulates additive per-radius count differences (Acc /
 // CountMatrix), the cross-join accumulates per-query MINIMUM radius
@@ -15,12 +9,12 @@ import (
 // throwaway query tree and subtree bounds at its dense node indices, so
 // a credit is one compare-and-store and a wholesale bound pushes down
 // over the node's contiguous position range. Minima merge commutatively
-// just like sums, so the same pooled-unit scheduling keeps the result
+// just like sums, so the same per-worker accumulators keep the result
 // identical for every worker count; and because every credit is a valid
-// upper bound on a query's true first index, accumulators can be reused
-// across units without resetting.
+// upper bound on a query's true first index, a worker's accumulator is
+// reused across its units without resetting.
 
-// MinAcc collects one traversal unit's bridge bounds: a flat per-query
+// MinAcc collects one worker's bridge bounds: a flat per-query
 // best-index row (by arena position) plus flat per-subtree bounds (by
 // node index, pushed down to the node's positions during the final
 // merge). The fields are exported raw and every backend reads and
@@ -34,8 +28,9 @@ type MinAcc struct {
 	NodeBest []int32 // query-tree node index → smallest wholesale bound
 }
 
-// FirstMatrix runs units traversal units across the worker budget with
-// pooled MinAccs and assembles firsts[id] — the smallest radius index
+// FirstMatrix runs units traversal units across the worker budget, one
+// private MinAcc per worker index (so at most min(Workers(workers),
+// units) of them), and assembles firsts[id] — the smallest radius index
 // credited to query id by any unit, or a (the sentinel) when no unit
 // credited it — for a radii, n query positions and nodes query-tree
 // arena nodes. visit performs unit u's traversal, crediting into acc;
@@ -55,9 +50,7 @@ func FirstMatrix(a, n, nodes, workers, units int,
 	if n == 0 || units == 0 {
 		return firsts
 	}
-	var mu sync.Mutex
-	var accs []*MinAcc
-	pool := sync.Pool{New: func() any {
+	accs := perWorker(workers, units, func() *MinAcc {
 		ac := &MinAcc{Best: make([]int32, n), NodeBest: make([]int32, nodes)}
 		for i := range ac.Best {
 			ac.Best[i] = int32(a)
@@ -65,16 +58,8 @@ func FirstMatrix(a, n, nodes, workers, units int,
 		for i := range ac.NodeBest {
 			ac.NodeBest[i] = int32(a)
 		}
-		mu.Lock()
-		accs = append(accs, ac)
-		mu.Unlock()
 		return ac
-	}}
-	parallel.For(workers, units, func(u int) {
-		ac := pool.Get().(*MinAcc)
-		visit(u, ac)
-		pool.Put(ac)
-	})
+	}, visit)
 
 	// Merge: minimum of the flat position rows, push the wholesale
 	// subtree bounds down over their contiguous position ranges, then
@@ -84,6 +69,9 @@ func FirstMatrix(a, n, nodes, workers, units int,
 		best[i] = int32(a)
 	}
 	for _, ac := range accs {
+		if ac == nil {
+			continue
+		}
 		for p, v := range ac.Best {
 			if v < best[p] {
 				best[p] = v

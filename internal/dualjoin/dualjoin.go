@@ -4,9 +4,10 @@
 // CROSS-join (index.CrossMultiCounter — for every query of a second set,
 // the first radius with an indexed neighbor). Both walk the full radius
 // schedule once with per-pair window narrowing; what lives here is
-// everything the traversals share: the credit accumulators, their pooled
-// scheduling across traversal units, the commutative merges, the
-// window-narrowing step, and the min/max bounds between bounding boxes.
+// everything the traversals share: the credit accumulators, their
+// per-worker scheduling across traversal units, the commutative merges,
+// the window-narrowing step, and the min/max bounds between bounding
+// boxes.
 //
 // Since the backends moved to flat arena layouts, every tree identifies
 // its nodes by dense int32 indices and stores the elements under a
@@ -17,14 +18,16 @@
 // node's position range, shared here instead of re-implemented as a
 // recursion in every backend.
 //
-// Memory model (ROADMAP d): CountMatrix keeps ONE merged difference
-// matrix for the whole join — never one full matrix per pooled
-// accumulator. A serial run writes it in place; a parallel run gives
-// each worker fixed-budget per-shard credit buffers that flush into the
-// shared matrix under that shard's lock, so per-worker peak memory is
-// O(n·a/workers) (plus a constant per shard) instead of O(n·a). Every
-// credit is a commutative integer add, so the result is identical for
-// every worker count and flush interleaving.
+// Memory model: each of the w workers (w = min(Workers(workers), units))
+// credits into its own private int32 matrix of (n+nodes)·(a+1) entries,
+// allocated on that worker's first traversal unit; the w matrices are
+// summed once after the traversal. So a join holds at most w private
+// matrices and takes no lock. int32 cannot overflow: a pair credits an
+// element at most once per radius index, so each difference entry (and
+// every partial sum of one) has magnitude at most the size of the
+// counted set, whose positions are already int32. Credits are
+// commutative integer adds, so the result is identical for every worker
+// count and unit schedule.
 package dualjoin
 
 import (
@@ -34,174 +37,47 @@ import (
 	"mccatch/internal/parallel"
 )
 
-// quadStride is the flat encoding of one buffered credit:
-// (row index, from, to, count) as four int32s.
-const quadStride = 4
-
-// minShardQuads is the smallest per-shard buffer; below it the flush
-// locks would outweigh the buffered adds.
-const minShardQuads = 64
-
-// BudgetHook, when non-nil, receives the buffered-mode sizing of every
-// parallel CountMatrix call: the resolved worker count, the shard counts
-// and the per-worker buffer budget in quads. Tests use it to pin the
-// O(n·a/workers) per-worker bound; production leaves it nil.
-var BudgetHook func(workers, pointShards, nodeShards, quadsPerWorker int)
-
-// matrices is the shared credit sink of one CountMatrix call: the merged
-// per-position difference rows, the per-node wholesale rows, and the
-// shard locks parallel workers flush under.
-type matrices struct {
-	stride  int
-	point   []int // position p, radius e → point[p*stride+e]
-	node    []int // node index d, radius e → node[d*stride+e]
-	pointMu []sync.Mutex
-	nodeMu  []sync.Mutex
-	// pointsPerShard / nodesPerShard map a row index to its lock.
-	pointsPerShard, nodesPerShard int
-}
-
-// Acc is one worker's credit sink. In direct mode (serial runs) the
-// credits go straight into the shared matrices, held right on the Acc so
-// the fast path is two indexed adds; in buffered mode each credit is
-// appended to a small per-shard buffer that flushes into the shared
-// matrix under that shard's lock when full. Crediting sits in the
-// innermost loop of every join, so the methods are concrete (the former
-// generic accumulator went through a dictionary the compiler would not
-// inline) and the buffered slow path lives in separate functions to keep
-// CreditPos/CreditNode within the inlining budget.
+// Acc is one worker's credit sink: element position p's difference row
+// is Point[p*Stride:], node d's wholesale row is Node[d*Stride:].
+// Crediting sits in the innermost loop of every join, so the rows are
+// exported raw and the backends' hottest credit sites write the two row
+// adds directly; CreditPos/CreditNode are the same adds for the rest.
 type Acc struct {
-	Stride int // len(radii) + 1
-	// Point and Node are the shared matrices themselves in direct mode
-	// (element position p's difference row is Point[p*Stride:], node d's
-	// is Node[d*Stride:]) and nil in buffered mode. They are exported
-	// raw: crediting sits in the innermost loops of the joins, and the
-	// method call below — with its buffered fallback — exceeds the
-	// inlining budget, so the backends' hottest credit sites write the
-	// two row adds directly when Point is non-nil and fall back to
-	// CreditPos/CreditNode otherwise.
-	Point, Node []int
-	m           *matrices
-	// buffered mode: flat quads per shard, fixed capacity each.
-	pointBuf [][]int32
-	nodeBuf  [][]int32
-	shardCap int
+	Stride      int // len(radii) + 1
+	Point, Node []int32
 }
 
 // CreditPos adds cnt to the element position's count at every radius in
 // [from, to).
 func (a *Acc) CreditPos(pos int32, from, to, cnt int) {
-	if row := a.Point; row != nil {
-		row = row[int(pos)*a.Stride:]
-		row[from] += cnt
-		row[to] -= cnt
-		return
-	}
-	a.bufferPos(pos, from, to, cnt)
+	row := a.Point[int(pos)*a.Stride:]
+	row[from] += int32(cnt)
+	row[to] -= int32(cnt)
 }
 
 // CreditNode adds cnt wholesale to every element under node at every
 // radius in [from, to); the range is pushed down to the node's positions
 // during the final merge.
 func (a *Acc) CreditNode(node int32, from, to, cnt int) {
-	if row := a.Node; row != nil {
-		row = row[int(node)*a.Stride:]
-		row[from] += cnt
-		row[to] -= cnt
-		return
-	}
-	a.bufferNode(node, from, to, cnt)
+	row := a.Node[int(node)*a.Stride:]
+	row[from] += int32(cnt)
+	row[to] -= int32(cnt)
 }
 
-func (a *Acc) bufferPos(pos int32, from, to, cnt int) {
-	s := int(pos) / a.m.pointsPerShard
-	a.pointBuf[s] = append(a.pointBuf[s], pos, int32(from), int32(to), int32(cnt))
-	if len(a.pointBuf[s]) >= a.shardCap*quadStride {
-		a.flushPoint(s)
-	}
-}
-
-func (a *Acc) bufferNode(node int32, from, to, cnt int) {
-	s := int(node) / a.m.nodesPerShard
-	a.nodeBuf[s] = append(a.nodeBuf[s], node, int32(from), int32(to), int32(cnt))
-	if len(a.nodeBuf[s]) >= a.shardCap*quadStride {
-		a.flushNode(s)
-	}
-}
-
-func applyQuads(dst []int, stride int, buf []int32) {
-	for i := 0; i+3 < len(buf); i += quadStride {
-		row := dst[int(buf[i])*stride:]
-		row[buf[i+1]] += int(buf[i+3])
-		row[buf[i+2]] -= int(buf[i+3])
-	}
-}
-
-func (a *Acc) flushPoint(s int) {
-	a.m.pointMu[s].Lock()
-	applyQuads(a.m.point, a.Stride, a.pointBuf[s])
-	a.m.pointMu[s].Unlock()
-	a.pointBuf[s] = a.pointBuf[s][:0]
-}
-
-func (a *Acc) flushNode(s int) {
-	a.m.nodeMu[s].Lock()
-	applyQuads(a.m.node, a.Stride, a.nodeBuf[s])
-	a.m.nodeMu[s].Unlock()
-	a.nodeBuf[s] = a.nodeBuf[s][:0]
-}
-
-// flushAll drains every remaining buffered credit into the shared
-// matrices; CountMatrix calls it once per pooled accumulator after the
-// traversal units finish.
-func (a *Acc) flushAll() {
-	if a.Point != nil {
-		return
-	}
-	for s := range a.pointBuf {
-		if len(a.pointBuf[s]) > 0 {
-			a.flushPoint(s)
+// perWorker runs units traversal units across the worker budget, giving
+// each worker index one private accumulator, made by fresh on that
+// worker's first unit, and returns them. A worker that drew no unit
+// leaves a nil entry. Both joins accumulate this way, so neither ever
+// holds more than min(Workers(workers), units) accumulators.
+func perWorker[A any](workers, units int, fresh func() *A, visit func(u int, acc *A)) []*A {
+	accs := make([]*A, min(parallel.Workers(workers), units))
+	parallel.ForWorker(workers, units, func(g, u int) {
+		if accs[g] == nil {
+			accs[g] = fresh()
 		}
-	}
-	for s := range a.nodeBuf {
-		if len(a.nodeBuf[s]) > 0 {
-			a.flushNode(s)
-		}
-	}
-}
-
-// shardCap bounds the shard count regardless of the worker budget
-// (ROADMAP k). The default 4·workers sizing came from GOMAXPROCS-sized
-// worker pools on small machines; on a many-core host it would mint
-// hundreds of shards, and since every pooled accumulator keeps one
-// buffer per shard, per-worker memory and flush bookkeeping grow with
-// the shard count while the contention relief beyond a few dozen locks
-// is already negligible (each flush holds its lock for a bounded burst
-// of integer adds). 64 shards keep the expected lock collision rate
-// under ~2% even with 4 workers flushing constantly, and
-// BenchmarkCountMatrixShards{Capped,Wide} pins that the cap is no
-// slower than the uncapped sizing it replaces. Declared as a variable
-// only so that benchmark pair can widen it in-process; nothing else may
-// write it.
-var shardCap = 64
-
-// shardsFor splits rows across one lock per ~rowsPerWorker rows: 4 locks
-// per worker (so a worker colliding on one shard has dozens of others to
-// flush meanwhile), capped above by shardCap — the GOMAXPROCS-derived
-// worker count stops driving the shard count past the point of usefulness
-// — and below by the row count so tiny inputs do not drown in mutexes.
-func shardsFor(rows, workers int) int {
-	shards := 4 * workers
-	if shards > shardCap {
-		shards = shardCap
-	}
-	if shards > rows {
-		shards = rows
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
+		visit(u, accs[g])
+	})
+	return accs
 }
 
 // CountMatrix runs units traversal units across the worker budget and
@@ -209,11 +85,11 @@ func shardsFor(rows, workers int) int {
 // arena nodes. visit performs unit u's traversal, crediting into acc;
 // elemRange returns the contiguous position range [first, last) of the
 // elements under a node (the arena layouts guarantee contiguity), and
-// idOf maps a position to its element id. The merged matrix exists ONCE
-// regardless of the worker count: serial runs write it directly, and
-// parallel workers buffer credits per shard — O(n·a/workers) per worker
-// — flushing under shard locks. Credits are commutative integer adds,
-// so the result is identical for every worker count.
+// idOf maps a position to its element id. Each worker index owns one
+// private Acc, so at most min(Workers(workers), units) matrices of
+// (n+nodes)·(a+1) int32s exist; they are summed once at the end.
+// Credits are commutative integer adds, so the result is identical for
+// every worker count.
 func CountMatrix(a, n, nodes, workers, units int,
 	visit func(u int, acc *Acc),
 	elemRange func(node int32) (int32, int32),
@@ -227,65 +103,25 @@ func CountMatrix(a, n, nodes, workers, units int,
 		return counts
 	}
 	stride := a + 1
-	w := parallel.Workers(workers)
-	if w > units {
-		w = units
-	}
-	m := &matrices{
-		stride: stride,
-		point:  make([]int, n*stride),
-		node:   make([]int, nodes*stride),
-	}
-	if w <= 1 {
-		acc := &Acc{Stride: stride, Point: m.point, Node: m.node}
-		for u := 0; u < units; u++ {
-			visit(u, acc)
+	accs := perWorker(workers, units, func() *Acc {
+		return &Acc{Stride: stride,
+			Point: make([]int32, n*stride), Node: make([]int32, nodes*stride)}
+	}, visit)
+	// Sum every worker's matrix into the first one.
+	var m *Acc
+	for _, ac := range accs {
+		if ac == nil {
+			continue
 		}
-	} else {
-		pShards := shardsFor(n, w)
-		nShards := shardsFor(nodes, w)
-		m.pointsPerShard = (n + pShards - 1) / pShards
-		m.nodesPerShard = (nodes + nShards - 1) / nShards
-		if m.nodesPerShard < 1 {
-			m.nodesPerShard = 1
+		if m == nil {
+			m = ac
+			continue
 		}
-		m.pointMu = make([]sync.Mutex, pShards)
-		m.nodeMu = make([]sync.Mutex, nShards)
-		// Per-worker budget: one worker's buffers hold at most ~1/w of the
-		// merged matrix (in quads), floored per shard so flushes stay
-		// amortized — the O(n·a/workers) bound of ROADMAP (d).
-		budget := (n + nodes) * stride / (2 * w)
-		shardCap := budget / (pShards + nShards)
-		if shardCap < minShardQuads {
-			shardCap = minShardQuads
+		for i, v := range ac.Point {
+			m.Point[i] += v
 		}
-		if BudgetHook != nil {
-			BudgetHook(w, pShards, nShards, shardCap*(pShards+nShards))
-		}
-		var mu sync.Mutex
-		var accs []*Acc
-		pool := sync.Pool{New: func() any {
-			ac := &Acc{Stride: stride, m: m, shardCap: shardCap,
-				pointBuf: make([][]int32, pShards),
-				nodeBuf:  make([][]int32, nShards)}
-			for s := range ac.pointBuf {
-				ac.pointBuf[s] = make([]int32, 0, shardCap*quadStride)
-			}
-			for s := range ac.nodeBuf {
-				ac.nodeBuf[s] = make([]int32, 0, shardCap*quadStride)
-			}
-			mu.Lock()
-			accs = append(accs, ac)
-			mu.Unlock()
-			return ac
-		}}
-		parallel.For(w, units, func(u int) {
-			ac := pool.Get().(*Acc)
-			visit(u, ac)
-			pool.Put(ac)
-		})
-		for _, ac := range accs {
-			ac.flushAll()
+		for i, v := range ac.Node {
+			m.Node[i] += v
 		}
 	}
 
@@ -293,7 +129,7 @@ func CountMatrix(a, n, nodes, workers, units int,
 	// ranges, then prefix-sum each position's difference row into the
 	// id-keyed result.
 	for d := 0; d < nodes; d++ {
-		row := m.node[d*stride : d*stride+stride]
+		row := m.Node[d*stride : d*stride+stride]
 		dirty := false
 		for _, v := range row {
 			if v != 0 {
@@ -306,7 +142,7 @@ func CountMatrix(a, n, nodes, workers, units int,
 		}
 		first, last := elemRange(int32(d))
 		for p := first; p < last; p++ {
-			dst := m.point[int(p)*stride:]
+			dst := m.Point[int(p)*stride:]
 			for k, v := range row {
 				dst[k] += v
 			}
@@ -314,10 +150,10 @@ func CountMatrix(a, n, nodes, workers, units int,
 	}
 	parallel.For(workers, n, func(p int) {
 		run := 0
-		row := m.point[p*stride:]
+		row := m.Point[p*stride:]
 		id := idOf(int32(p))
 		for e := 0; e < a; e++ {
-			run += row[e]
+			run += int(row[e])
 			counts[e][id] = run
 		}
 	})

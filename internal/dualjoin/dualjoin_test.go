@@ -3,14 +3,15 @@ package dualjoin
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
 // The backends' equivalence suites prove the joins end to end; these
 // tests pin the shared machinery's own contracts — window narrowing,
-// box bounds, the two accumulator merges, and the buffered mode's
-// per-worker memory bound — directly, so a future backend gets them
-// pre-verified.
+// box bounds, the two per-worker accumulator merges, and the self-join's
+// bound of at most one private matrix per worker — directly, so a future
+// backend gets them pre-verified.
 
 func TestWindow(t *testing.T) {
 	radii := []float64{1, 2, 4, 8}
@@ -67,8 +68,8 @@ func testIDOf(pos int32) int              { return int(pos) }
 // TestCountMatrixMergesAcrossWorkers drives CountMatrix with synthetic
 // units — point credits plus a wholesale node credit — and checks the
 // assembled matrix is the prefix-summed union at every worker count,
-// covering both the serial direct-write mode and the parallel buffered
-// mode.
+// covering both the single-accumulator serial run and the summed
+// per-worker accumulators of a parallel one.
 func TestCountMatrixMergesAcrossWorkers(t *testing.T) {
 	const a, n, units = 3, 4, 6
 	visit := func(u int, acc *Acc) {
@@ -101,8 +102,10 @@ func TestCountMatrixMergesAcrossWorkers(t *testing.T) {
 }
 
 // TestCountMatrixRandomized floods CountMatrix with random credit
-// schedules heavy enough to force buffer flushes mid-traversal and
-// cross-checks every worker count against the brute-force union.
+// schedules — point and node credits spread over many units, so each
+// worker's accumulator serves several units and the per-worker sums must
+// still merge exactly — and cross-checks every worker count against the
+// brute-force union.
 func TestCountMatrixRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 10; trial++ {
@@ -164,39 +167,37 @@ func TestCountMatrixRandomized(t *testing.T) {
 	}
 }
 
-// TestCountMatrixPerWorkerBudget pins ROADMAP (d)'s memory bound: in
-// buffered mode every worker's credit buffers hold at most ~1/workers of
-// the merged matrix (plus the per-shard floor), never a full copy.
-func TestCountMatrixPerWorkerBudget(t *testing.T) {
+// TestCountMatrixMemoryBound pins the self-join's memory model: a call
+// allocates at most one private int32 matrix of (n+nodes)·(a+1) entries
+// per worker index — min(w, units) of them — plus the [][]int result and
+// a small constant for scheduling, whatever the worker count.
+func TestCountMatrixMemoryBound(t *testing.T) {
 	const a, n, nodes, units = 15, 4096, 4096, 64
-	stride := a + 1
-	for _, workers := range []int{2, 4, 8} {
-		var gotWorkers, gotQuads int
-		BudgetHook = func(w, pShards, nShards, quadsPerWorker int) {
-			gotWorkers, gotQuads = w, quadsPerWorker
-		}
-		CountMatrix(a, n, nodes, workers, units,
-			func(u int, acc *Acc) { acc.CreditPos(int32(u), 0, a, 1) },
-			testRange, testIDOf)
-		BudgetHook = nil
-		if gotWorkers != workers {
-			t.Fatalf("workers=%d: hook saw %d", workers, gotWorkers)
-		}
-		// The merged matrix holds (n+nodes)*stride ints; a worker's buffers
-		// must stay within ~1/workers of that (each quad is 4 int32s = 2
-		// ints' worth), with the minShardQuads floor as slack.
-		bound := (n+nodes)*stride/workers + (4*workers+4*workers)*minShardQuads
-		if gotQuads*2 > bound {
-			t.Errorf("workers=%d: per-worker buffer %d quads exceeds bound %d ints",
-				workers, gotQuads, bound)
+	const slack = 64 << 10
+	visit := func(u int, acc *Acc) {
+		acc.CreditPos(int32(u), 0, a, 1)
+		acc.CreditNode(int32(u), 1, a, 2)
+	}
+	elemRange := func(d int32) (int32, int32) { return d, d + 1 }
+	result := a*n*8 + a*24 + 24 // counts rows plus their slice headers
+	for _, workers := range []int{1, 2, 8} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		counts := CountMatrix(a, n, nodes, workers, units, visit, elemRange, testIDOf)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(counts)
+		bound := min(workers, units)*(n+nodes)*(a+1)*4 + result + slack
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(bound) {
+			t.Errorf("workers=%d: CountMatrix allocated %d bytes, bound %d", workers, got, bound)
 		}
 	}
 }
 
 // TestFirstMatrixMergesMinima drives FirstMatrix with synthetic units and
 // checks that point credits, wholesale node credits and the sentinel all
-// merge to the same minima at every worker count — including when the
-// pooled accumulators are reused across many units.
+// merge to the same minima at every worker count — including when a
+// worker's accumulator is reused across many units.
 func TestFirstMatrixMergesMinima(t *testing.T) {
 	const a, n, units = 5, 4, 16
 	visit := func(u int, acc *MinAcc) {
@@ -226,7 +227,7 @@ func TestFirstMatrixMergesMinima(t *testing.T) {
 	}
 }
 
-// TestFirstMatrixRandomizedAgainstSerial cross-checks the pooled merge on
+// TestFirstMatrixRandomizedAgainstSerial cross-checks the per-worker merge on
 // random credit schedules: whatever the unit/worker interleaving, the
 // result equals the brute-force minimum of all credits.
 func TestFirstMatrixRandomizedAgainstSerial(t *testing.T) {

@@ -32,26 +32,18 @@ type dualCtx struct {
 	t      *Tree
 	radii2 []float64
 	acc    *dualjoin.Acc
-	// rows/stride cache acc.Point: in direct (serial) mode the hottest
-	// credit sites write the two row adds in place — the accumulator
-	// method with its buffered fallback is beyond the inlining budget.
-	rows   []int
+	rows   []int32 // acc.Point, written in place by the hottest credit sites
 	stride int
 }
 
 // creditPair buckets one close point pair, crediting both slots.
 func (c *dualCtx) creditPair(p, q int32, b, nh int) {
-	if rows := c.rows; rows != nil {
-		rp := rows[int(p)*c.stride:]
-		rp[b]++
-		rp[nh]--
-		rq := rows[int(q)*c.stride:]
-		rq[b]++
-		rq[nh]--
-		return
-	}
-	c.acc.CreditPos(p, b, nh, 1)
-	c.acc.CreditPos(q, b, nh, 1)
+	rp := c.rows[int(p)*c.stride:]
+	rp[b]++
+	rp[nh]--
+	rq := c.rows[int(q)*c.stride:]
+	rq[b]++
+	rq[nh]--
 }
 
 // CountAllMulti returns counts[e][id] = the number of indexed points

@@ -2,8 +2,10 @@
 // fans out on. MCCATCH's hot loops are per-point probes against a
 // read-only index (range counts, range queries, bridge searches), so they
 // parallelize as independent units of work that write into preallocated
-// per-index slots; For schedules exactly that shape. Limiter bounds the
-// goroutines a recursive fan-out (kd-tree / R-tree bulk build) may spawn.
+// per-index slots; For schedules exactly that shape, and ForWorker also
+// names the worker running each unit, so callers can keep one private
+// accumulator per worker. Limiter bounds the goroutines a recursive
+// fan-out (kd-tree / R-tree bulk build) may spawn.
 //
 // Everything here is deterministic by construction: the scheduling order
 // is unobservable as long as callers keep each unit of work independent
@@ -33,12 +35,21 @@ func Workers(requested int) int {
 const chunkDivisor = 8
 
 // For runs fn(i) for every i in [0, n) across min(Workers(workers), n)
-// goroutines. Indices are handed out in contiguous chunks through an
-// atomic cursor, so scheduling costs O(1) per chunk rather than O(1) per
-// index. If any fn panics, For stops handing out new chunks and re-panics
-// the first panic value in the caller's goroutine once all workers have
-// drained.
+// goroutines; it is ForWorker without the worker index.
 func For(workers, n int, fn func(i int)) {
+	ForWorker(workers, n, func(_, i int) { fn(i) })
+}
+
+// ForWorker runs fn(g, i) for every i in [0, n) across
+// w = min(Workers(workers), n) goroutines, where g in [0, w) identifies
+// the goroutine running the call: two calls with the same g never
+// overlap, so fn may keep private per-worker state in slot g without
+// locking. Indices are handed out in contiguous chunks through an
+// atomic cursor, so scheduling costs O(1) per chunk rather than O(1) per
+// index. If any fn panics, ForWorker stops handing out new chunks and
+// re-panics the first panic value in the caller's goroutine once all
+// workers have drained.
+func ForWorker(workers, n int, fn func(g, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -48,7 +59,7 @@ func For(workers, n int, fn func(i int)) {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -86,7 +97,7 @@ func For(workers, n int, fn func(i int)) {
 					end = n
 				}
 				for i := start; i < end; i++ {
-					fn(i)
+					fn(g, i)
 				}
 			}
 		}()

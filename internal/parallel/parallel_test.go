@@ -39,6 +39,65 @@ func TestForCoversEveryIndexExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestForWorkerIndices: every i runs exactly once, every worker index g
+// lies in [0, min(Workers(workers), n)), and two calls with the same g
+// never overlap — the contract that lets callers keep one private
+// accumulator per g without locking (the per-g counters below are plain
+// ints, so an overlap would also be a data race under -race).
+func TestForWorkerIndices(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 2, 3, 8, 64} {
+		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+			w := min(Workers(workers), n)
+			seen := make([]int32, n)
+			busy := make([]atomic.Bool, max(w, 1))
+			perG := make([]int, max(w, 1))
+			ForWorker(workers, n, func(g, i int) {
+				if g < 0 || g >= w {
+					t.Errorf("workers=%d n=%d: worker index %d outside [0, %d)", workers, n, g, w)
+					return
+				}
+				if busy[g].Swap(true) {
+					t.Errorf("workers=%d n=%d: two calls overlap on worker index %d", workers, n, g)
+				}
+				perG[g]++
+				atomic.AddInt32(&seen[i], 1)
+				busy[g].Store(false)
+			})
+			total := 0
+			for _, c := range perG {
+				total += c
+			}
+			if total != n {
+				t.Fatalf("workers=%d n=%d: %d calls, want %d", workers, n, total, n)
+			}
+			for i, s := range seen {
+				if s != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, s)
+				}
+			}
+		}
+	}
+}
+
+// TestForWorkerPanicPropagation: ForWorker propagates a worker's panic
+// exactly as For does — the original value, in the caller's goroutine.
+func TestForWorkerPanicPropagation(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("workers=%d: recovered %v, want \"boom\"", workers, r)
+				}
+			}()
+			ForWorker(workers, 1000, func(_, i int) {
+				if i == 357 {
+					panic("boom")
+				}
+			})
+		}()
+	}
+}
+
 func TestForNegativeNIsANoop(t *testing.T) {
 	For(4, -5, func(i int) { t.Errorf("fn called with i=%d on negative n", i) })
 }

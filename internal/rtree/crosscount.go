@@ -24,20 +24,16 @@ type crossCountCtx struct {
 	in, out *Tree
 	radii2  []float64
 	acc     *dualjoin.Acc
-	rows    []int
+	rows    []int32 // acc.Point, written in place by the leaf scans
 	stride  int
 }
 
 // creditQuery buckets cnt indexed points into query position p's row
 // over [b, nh).
 func (c *crossCountCtx) creditQuery(p int32, b, nh, cnt int) {
-	if rows := c.rows; rows != nil {
-		rp := rows[int(p)*c.stride:]
-		rp[b] += cnt
-		rp[nh] -= cnt
-		return
-	}
-	c.acc.CreditPos(p, b, nh, cnt)
+	rp := c.rows[int(p)*c.stride:]
+	rp[b] += int32(cnt)
+	rp[nh] -= int32(cnt)
 }
 
 // CountCrossMulti returns counts[e][i] = the number of indexed points

@@ -30,27 +30,18 @@ type dualCtx struct {
 	t      *Tree
 	radii2 []float64
 	acc    *dualjoin.Acc
-	// rows/stride cache acc.Point: in direct (serial) mode the leaf-scan
-	// credits below write the two row adds in place — the method call
-	// with its buffered fallback is beyond the inlining budget, and these
-	// scans are the join's innermost loop.
-	rows   []int
+	rows   []int32 // acc.Point, written in place by the leaf scans
 	stride int
 }
 
 // creditPair buckets one close point pair, crediting both positions.
 func (c *dualCtx) creditPair(i, j int32, b, nh int) {
-	if rows := c.rows; rows != nil {
-		ri := rows[int(i)*c.stride:]
-		ri[b]++
-		ri[nh]--
-		rj := rows[int(j)*c.stride:]
-		rj[b]++
-		rj[nh]--
-		return
-	}
-	c.acc.CreditPos(i, b, nh, 1)
-	c.acc.CreditPos(j, b, nh, 1)
+	ri := c.rows[int(i)*c.stride:]
+	ri[b]++
+	ri[nh]--
+	rj := c.rows[int(j)*c.stride:]
+	rj[b]++
+	rj[nh]--
 }
 
 // scanPointRange resolves the point at packed position p against every

@@ -26,7 +26,7 @@ type crossCountCtx[T any] struct {
 	out   *Tree[T]
 	radii []float64
 	acc   *dualjoin.Acc
-	rows  []int
+	rows  []int32 // acc.Point, written in place by element credits
 	strd  int
 }
 
@@ -39,13 +39,9 @@ func (c *crossCountCtx[T]) credit(qe int32, from, to, cnt int) {
 		c.acc.CreditNode(ch, from, to, cnt)
 		return
 	}
-	if rows := c.rows; rows != nil {
-		row := rows[int(c.out.ePos[qe])*c.strd:]
-		row[from] += cnt
-		row[to] -= cnt
-		return
-	}
-	c.acc.CreditPos(c.out.ePos[qe], from, to, cnt)
+	row := c.rows[int(c.out.ePos[qe])*c.strd:]
+	row[from] += int32(cnt)
+	row[to] -= int32(cnt)
 }
 
 // CountCrossMulti returns counts[e][i] = the number of indexed elements

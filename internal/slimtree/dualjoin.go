@@ -31,11 +31,9 @@ type dualCtx[T any] struct {
 	visitState[T]
 	radii []float64
 	acc   *dualjoin.Acc
-	// rows/stride cache acc.Point: in direct (serial) mode credit writes
-	// the two row adds in place — the accumulator method with its
-	// buffered fallback is beyond the inlining budget, and crediting is
-	// the join's innermost loop.
-	rows   []int
+	// rows/stride cache acc.Point: element credits write the two row
+	// adds in place, since crediting is the join's innermost loop.
+	rows   []int32
 	stride int
 }
 
@@ -90,13 +88,9 @@ func (c *dualCtx[T]) credit(e int32, from, to, cnt int) {
 		c.acc.CreditNode(ch, from, to, cnt)
 		return
 	}
-	if rows := c.rows; rows != nil {
-		row := rows[int(c.t.ePos[e])*c.stride:]
-		row[from] += cnt
-		row[to] -= cnt
-		return
-	}
-	c.acc.CreditPos(c.t.ePos[e], from, to, cnt)
+	row := c.rows[int(c.t.ePos[e])*c.stride:]
+	row[from] += int32(cnt)
+	row[to] -= int32(cnt)
 }
 
 // symVisit classifies the unordered pair of DISTINCT entries (ae, be) for
@@ -184,13 +178,9 @@ func (c *dualCtx[T]) selfVisit(ae int32, lo, hi int) {
 	t := c.t
 	if t.eChild[ae] < 0 {
 		// d(x, x) = 0 ≤ every radius.
-		if rows := c.rows; rows != nil {
-			row := rows[int(t.ePos[ae])*c.stride:]
-			row[lo]++
-			row[hi]--
-			return
-		}
-		c.acc.CreditPos(t.ePos[ae], lo, hi, 1)
+		row := c.rows[int(t.ePos[ae])*c.stride:]
+		row[lo]++
+		row[hi]--
 		return
 	}
 	radii := c.radii

@@ -233,7 +233,9 @@ func WithSlimDown(passes int) Option {
 // kd-tree/R-tree under RunVectorsKD/RunVectorsR; only the legacy
 // WithInsertionBuild slim-tree path is inherently serial). n = 0 (the
 // default) means runtime.GOMAXPROCS(0); n = 1 forces a fully serial run;
-// negative counts are rejected.
+// negative counts are rejected. Each Step II worker keeps one private
+// int32 count matrix, one row of radii+1 entries per indexed element and
+// per index node, so the self-join's memory grows linearly with n.
 //
 // Determinism guarantee: the Result is byte-identical for every worker
 // count. Workers write into preallocated per-index slots, every
