@@ -243,23 +243,14 @@ func randPoints(n, dim int) [][]float64 {
 	return pts
 }
 
-// The build pair the CI bench gate watches: the bulk load must stay well
-// ahead of the incremental insert path it replaced as the default.
-func BenchmarkSlimTreeBuildInsert10k(b *testing.B) {
-	b.ReportAllocs()
-	pts := randPoints(10000, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slimtree.New(metric.Euclidean, 0, pts)
-	}
-}
-
+// The slim-tree build the CI bench gate watches (absolutely gated, as is
+// BenchmarkSlimTreeBuildBulk4k).
 func BenchmarkSlimTreeBuildBulk10k(b *testing.B) {
 	b.ReportAllocs()
 	pts := randPoints(10000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slimtree.NewBulk(metric.Euclidean, 0, pts)
+		slimtree.New(metric.Euclidean, 0, pts)
 	}
 }
 
@@ -273,20 +264,7 @@ func BenchmarkSlimTreeBuildBulk4k(b *testing.B) {
 	pts := randPoints(4000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slimtree.NewBulk(metric.Euclidean, 0, pts)
-	}
-}
-
-// The legacy insertion-built pipeline against the bulk-loaded default —
-// the end-to-end read on what the low-overlap tree buys Step II-IV.
-func BenchmarkPipelineN10k2dInsertionBuild(b *testing.B) {
-	b.ReportAllocs()
-	pts := data.Uniform(10000, 2, 1).Points
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mccatch.RunVectors(pts, mccatch.WithWorkers(1), mccatch.WithInsertionBuild()); err != nil {
-			b.Fatal(err)
-		}
+		slimtree.New(metric.Euclidean, 0, pts)
 	}
 }
 
@@ -424,7 +402,7 @@ func benchSelfJoin(b *testing.B, kind string, dual bool) {
 	var t index.Index[[]float64]
 	switch kind {
 	case "slim":
-		t = slimtree.NewBulk(metric.Euclidean, 0, pts)
+		t = slimtree.New(metric.Euclidean, 0, pts)
 	case "kd":
 		t = kdtree.New(pts)
 	case "r":
@@ -496,7 +474,7 @@ func benchBridge(b *testing.B, kind string, dual bool) {
 	var t index.Index[[]float64]
 	switch kind {
 	case "slim":
-		t = slimtree.NewBulk(metric.Euclidean, 0, in)
+		t = slimtree.New(metric.Euclidean, 0, in)
 	case "kd":
 		t = kdtree.New(in)
 	case "r":
@@ -627,34 +605,6 @@ func BenchmarkAUROC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eval.AUROC(scores, labels)
-	}
-}
-
-// Ablation: the Slim-tree's slim-down reorganization (paper substrate
-// feature) against the plain build on clustered data.
-func BenchmarkAblationSlimDownOff(b *testing.B) { benchSlimDown(b, 0) }
-func BenchmarkAblationSlimDownOn(b *testing.B)  { benchSlimDown(b, 3) }
-
-func benchSlimDown(b *testing.B, passes int) {
-	b.Helper()
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(13))
-	var pts [][]float64
-	for len(pts) < 6000 {
-		cx, cy := rng.Float64()*100, rng.Float64()*100
-		for i := 0; i < 30; i++ {
-			pts = append(pts, []float64{cx + rng.NormFloat64(), cy + rng.NormFloat64()})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var opts []mccatch.Option
-		if passes > 0 {
-			opts = append(opts, mccatch.WithSlimDown(passes))
-		}
-		if _, err := mccatch.RunVectors(pts, opts...); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

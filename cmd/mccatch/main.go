@@ -51,7 +51,6 @@ func main() {
 		explain = flag.Int("explain", -1, "explain why one point (by index) scored the way it did")
 		workers = flag.Int("workers", 0, "concurrent workers (0 = all cores, 1 = serial; output is identical)")
 		shards  = flag.Int("shards", 0, "concurrent per-shard pipelines (0 = default 1; output is identical for every value)")
-		insert  = flag.Bool("insertion-build", false, "build slim-trees with the legacy insert path instead of bulk loading (slower; output is identical)")
 		incr    = flag.Bool("incremental", false, "feed the data through the mutable incremental layer (insert-all, compact, detect; output is identical)")
 		saveIdx = flag.String("save-index", "", "build the index from the input, save it to this file, and exit without detecting")
 		idxFile = flag.String("index-file", "", "open a saved index file instead of reading -input (mmap-backed; output is identical to the direct run)")
@@ -80,9 +79,6 @@ func main() {
 	}
 	if *shards != 0 {
 		opts = append(opts, mccatch.WithShards(*shards))
-	}
-	if *insert {
-		opts = append(opts, mccatch.WithInsertionBuild())
 	}
 
 	if *incr {

@@ -142,16 +142,15 @@ func resolveSlimCapacity(p *core.Params) {
 // BuildVectors indexes vector data for detection under the Euclidean
 // distance with the transformation cost set to the dimensionality — the
 // counterpart of RunVectors, down to the same backend choice: the STR
-// bulk-loaded R-tree unless a slim-tree-specific option
-// (WithTreeCapacity, WithInsertionBuild, WithSlimDown) moves it to the
-// slim-tree. Points must share one dimension and be free of
-// NaN/Inf values.
+// bulk-loaded R-tree unless the slim-tree-specific option
+// WithTreeCapacity moves it to the slim-tree. Points must share one
+// dimension and be free of NaN/Inf values.
 func BuildVectors(points [][]float64, opts ...Option) (*Detector[[]float64], error) {
 	p, err := vectorParams(points, opts)
 	if err != nil {
 		return nil, err
 	}
-	if p.TreeCapacity != 0 || p.InsertionBuild || p.SlimDownPasses > 0 {
+	if p.TreeCapacity != 0 {
 		resolveSlimCapacity(&p)
 		return newDetector(points, metric.Euclidean, core.SlimBuilder(metric.Euclidean, p), p, true), nil
 	}

@@ -75,7 +75,7 @@ func NewIncrementalVectors(dim int, opts ...Option) (*Incremental[[]float64], er
 		return nil, err
 	}
 	var builder index.Builder[[]float64]
-	if p.TreeCapacity != 0 || p.InsertionBuild || p.SlimDownPasses > 0 {
+	if p.TreeCapacity != 0 {
 		resolveSlimCapacity(&p)
 		builder = core.SlimBuilder(metric.Euclidean, p)
 	} else {

@@ -65,8 +65,8 @@ func head(xs []float64, k int) []float64 {
 	return xs[:k]
 }
 
-// slimBuilder returns the paper-default backend; workers only matter for
-// the probes, not the insert-based build.
+// slimBuilder returns the paper-default backend built serially; workers
+// only matter for the probes.
 func slimBuilder[T any](dist metric.Distance[T]) func(workers int) index.Builder[T] {
 	return func(int) index.Builder[T] {
 		return func(sub []T) index.Index[T] { return slimtree.New(dist, 0, sub) }

@@ -171,7 +171,8 @@ func (t *Tree) buildLeaves(points [][]float64, ids []int, lim *parallel.Limiter)
 // pack groups nodes into parents level by level until one root remains.
 func (t *Tree) pack(nodes []*buildNode) *buildNode {
 	for len(nodes) > 1 {
-		// Sort by box center on alternating axes for locality.
+		// Sort by box center on axis 0 (at every level), then group
+		// consecutive runs of fanout nodes under one parent.
 		sort.Slice(nodes, func(a, b int) bool {
 			return nodes[a].lo[0]+nodes[a].hi[0] < nodes[b].lo[0]+nodes[b].hi[0]
 		})

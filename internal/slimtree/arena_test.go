@@ -1,7 +1,6 @@
 package slimtree
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,9 +12,7 @@ import (
 // invariants every traversal and dual join relies on (entry ranges that
 // partition the SoA arrays in node order, child/parent links, contiguous
 // per-subtree element ranges over the packed leafIDs block), and — via
-// the thawed pointer tree and a retained copy of the pre-arena pointer
-// traversal — that the arena answers queries identically to the linked
-// shape it froze.
+// a linear scan over the items — that the arena answers queries exactly.
 
 func arenaCheck[T any](t *testing.T, tr *Tree[T], n int) {
 	t.Helper()
@@ -108,8 +105,9 @@ func arenaCheck[T any](t *testing.T, tr *Tree[T], n int) {
 	}
 }
 
-// TestArenaInvariants freezes random insert-built and bulk-built trees
-// and checks every structural invariant of the arena.
+// TestArenaInvariants freezes random trees — at the default capacity and
+// at capacity 4, which makes them deep — and checks every structural
+// invariant of the arena.
 func TestArenaInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 8; trial++ {
@@ -119,48 +117,13 @@ func TestArenaInvariants(t *testing.T) {
 			pts[i] = []float64{rng.Float64() * 100, rng.Float64() * 100}
 		}
 		arenaCheck(t, New(metric.Euclidean, 0, pts), n)
-		arenaCheck(t, NewBulk(metric.Euclidean, 0, pts), n)
-		slim := NewBulk(metric.Euclidean, 0, pts)
-		slim.SlimDown(2) // thaw → reorganize → re-freeze must stay well-formed
-		arenaCheck(t, slim, n)
+		arenaCheck(t, New(metric.Euclidean, 4, pts), n)
 	}
 }
 
-// --- Retained reference: the pre-arena pointer traversal over the
-// thawed linked tree (rangeVisit as it was before the flattening). ---
-
-func refRangeVisit[T any](dist metric.Distance[T], n *node[T], q T, r, dq float64, ids *[]int) int {
-	count := 0
-	for i := range n.entries {
-		e := &n.entries[i]
-		if !math.IsNaN(dq) && math.Abs(dq-e.dPar) > r+e.radius {
-			continue
-		}
-		d := dist(q, e.pivot)
-		if n.leaf {
-			if d <= r {
-				count++
-				if ids != nil {
-					*ids = append(*ids, e.id)
-				}
-			}
-			continue
-		}
-		if ids == nil && d+e.radius <= r {
-			count += e.count
-			continue
-		}
-		if d <= r+e.radius {
-			count += refRangeVisit(dist, e.child, q, r, d, ids)
-		}
-	}
-	return count
-}
-
-// TestArenaMatchesReferencePointerBuild thaws the frozen arena back into
-// the linked shape and demands the arena traversals answer identically
-// to the retained pointer traversal on random probes — for both build
-// paths, on counts, batched counts and id sets.
+// TestArenaMatchesReferencePointerBuild demands the arena traversals
+// answer identically to a linear scan over the items on random probes,
+// on counts, batched counts and id sets.
 func TestArenaMatchesReferencePointerBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 8; trial++ {
@@ -169,42 +132,33 @@ func TestArenaMatchesReferencePointerBuild(t *testing.T) {
 		for i := range pts {
 			pts[i] = []float64{rng.Float64() * 50, rng.Float64() * 50}
 		}
-		for _, tr := range []*Tree[[]float64]{
-			New(metric.Euclidean, 0, pts),
-			NewBulk(metric.Euclidean, 0, pts),
-		} {
-			tr.thaw()
-			ref := tr.root
-			tr.root = nil // the arena queries must not depend on it
-			diam := tr.DiameterEstimate()
-			radii := make([]float64, 9)
-			for e := range radii {
-				radii[e] = diam / float64(int(1)<<(len(radii)-1-e))
+		tr := New(metric.Euclidean, 0, pts)
+		diam := tr.DiameterEstimate()
+		radii := make([]float64, 9)
+		for e := range radii {
+			radii[e] = diam / float64(int(1)<<(len(radii)-1-e))
+		}
+		for probe := 0; probe < 16; probe++ {
+			q := pts[rng.Intn(n)]
+			r := rng.Float64() * diam
+			if got, want := tr.RangeCount(q, r), len(bruteRange(pts, q, r)); got != want {
+				t.Fatalf("RangeCount=%d, reference %d", got, want)
 			}
-			for probe := 0; probe < 8; probe++ {
-				q := pts[rng.Intn(n)]
-				r := rng.Float64() * diam
-				if got, want := tr.RangeCount(q, r), refRangeVisit(metric.Euclidean, ref, q, r, math.NaN(), nil); got != want {
-					t.Fatalf("RangeCount=%d, reference %d", got, want)
+			multi := tr.RangeCountMulti(q, radii)
+			for e, rr := range radii {
+				if want := len(bruteRange(pts, q, rr)); multi[e] != want {
+					t.Fatalf("RangeCountMulti[%d]=%d, reference %d", e, multi[e], want)
 				}
-				multi := tr.RangeCountMulti(q, radii)
-				for e, rr := range radii {
-					if want := refRangeVisit(metric.Euclidean, ref, q, rr, math.NaN(), nil); multi[e] != want {
-						t.Fatalf("RangeCountMulti[%d]=%d, reference %d", e, multi[e], want)
-					}
-				}
-				var wantIDs []int
-				refRangeVisit(metric.Euclidean, ref, q, r, math.NaN(), &wantIDs)
-				gotIDs := tr.RangeQuery(q, r)
-				sort.Ints(gotIDs)
-				sort.Ints(wantIDs)
-				if len(gotIDs) != len(wantIDs) {
-					t.Fatalf("RangeQuery returned %d ids, reference %d", len(gotIDs), len(wantIDs))
-				}
-				for i := range gotIDs {
-					if gotIDs[i] != wantIDs[i] {
-						t.Fatal("RangeQuery id sets differ from reference")
-					}
+			}
+			wantIDs := bruteRange(pts, q, r)
+			gotIDs := tr.RangeQuery(q, r)
+			sort.Ints(gotIDs)
+			if len(gotIDs) != len(wantIDs) {
+				t.Fatalf("RangeQuery returned %d ids, reference %d", len(gotIDs), len(wantIDs))
+			}
+			for i := range gotIDs {
+				if gotIDs[i] != wantIDs[i] {
+					t.Fatal("RangeQuery id sets differ from reference")
 				}
 			}
 		}

@@ -4,58 +4,81 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"mccatch/internal/diameter"
 	"mccatch/internal/metric"
 )
 
-// assertQueryEquivalent pins the bulk-load contract: a bulk-loaded tree
-// must answer every query — RangeCount, RangeCountMulti, RangeQuery, KNN,
-// CountAllMulti, DiameterEstimate — exactly like the insertion-built tree
-// over the same items. Only the internal arrangement may differ.
-func assertQueryEquivalent[T any](t *testing.T, label string, ins, blk *Tree[T], items []T, radii []float64) {
+// assertMatchesBruteForce pins the tree against a linear scan over its
+// items: RangeCount, RangeCountMulti, RangeQuery, KNN and CountAllMulti
+// must answer exactly what comparing q with every item answers, and
+// DiameterEstimate must be the data-only estimate over the items.
+func assertMatchesBruteForce[T any](t *testing.T, label string, tr *Tree[T], dist metric.Distance[T], items []T, radii []float64) {
 	t.Helper()
-	if ins.Size() != blk.Size() {
-		t.Fatalf("%s: sizes differ: %d vs %d", label, ins.Size(), blk.Size())
+	if tr.Size() != len(items) {
+		t.Fatalf("%s: size %d, want %d", label, tr.Size(), len(items))
 	}
-	if di, db := ins.DiameterEstimate(), blk.DiameterEstimate(); di != db {
-		t.Fatalf("%s: DiameterEstimate differs: %v vs %v", label, di, db)
+	if got, want := tr.DiameterEstimate(), diameter.Estimate(items, dist); got != want {
+		t.Fatalf("%s: DiameterEstimate = %v, want %v", label, got, want)
 	}
+	all := tr.CountAllMulti(radii, 3)
+	ds := make([]float64, len(items))
+	sorted := make([]float64, len(items))
 	for qi, q := range items {
-		if qi%7 != 0 { // every 7th element keeps the quadratic check fast
+		for j, it := range items {
+			ds[j] = dist(q, it)
+		}
+		copy(sorted, ds)
+		sort.Float64s(sorted)
+		bruteCount := func(r float64) int {
+			return sort.Search(len(sorted), func(i int) bool { return sorted[i] > r })
+		}
+		for e, r := range radii {
+			if want := bruteCount(r); all[e][qi] != want {
+				t.Fatalf("%s: CountAllMulti[%d][%d] = %d, brute force %d", label, e, qi, all[e][qi], want)
+			}
+		}
+		if qi%7 != 0 { // every 7th element keeps the per-probe checks fast
 			continue
 		}
 		for _, r := range radii {
-			if ci, cb := ins.RangeCount(q, r), blk.RangeCount(q, r); ci != cb {
-				t.Fatalf("%s: RangeCount(q%d, %v) = %d (insert) vs %d (bulk)", label, qi, r, ci, cb)
+			if got, want := tr.RangeCount(q, r), bruteCount(r); got != want {
+				t.Fatalf("%s: RangeCount(q%d, %v) = %d, brute force %d", label, qi, r, got, want)
 			}
 		}
-		mi, mb := ins.RangeCountMulti(q, radii), blk.RangeCountMulti(q, radii)
-		for e := range radii {
-			if mi[e] != mb[e] {
-				t.Fatalf("%s: RangeCountMulti(q%d)[%d] = %d vs %d", label, qi, e, mi[e], mb[e])
+		multi := tr.RangeCountMulti(q, radii)
+		for e, r := range radii {
+			if want := bruteCount(r); multi[e] != want {
+				t.Fatalf("%s: RangeCountMulti(q%d)[%d] = %d, brute force %d", label, qi, e, multi[e], want)
 			}
 		}
-		idsI := ins.RangeQuery(q, radii[len(radii)/2])
-		idsB := blk.RangeQuery(q, radii[len(radii)/2])
-		sortInts(idsI)
-		sortInts(idsB)
-		if fmt.Sprint(idsI) != fmt.Sprint(idsB) {
-			t.Fatalf("%s: RangeQuery(q%d) ids differ: %v vs %v", label, qi, idsI, idsB)
-		}
-		ki, kdi := ins.KNN(q, 5)
-		kb, kdb := blk.KNN(q, 5)
-		if fmt.Sprint(ki) != fmt.Sprint(kb) || fmt.Sprint(kdi) != fmt.Sprint(kdb) {
-			t.Fatalf("%s: KNN(q%d) differs: %v/%v vs %v/%v", label, qi, ki, kdi, kb, kdb)
-		}
-	}
-	ci := ins.CountAllMulti(radii, 1)
-	cb := blk.CountAllMulti(radii, 3)
-	for e := range ci {
-		for i := range ci[e] {
-			if ci[e][i] != cb[e][i] {
-				t.Fatalf("%s: CountAllMulti[%d][%d] = %d vs %d", label, e, i, ci[e][i], cb[e][i])
+		r := radii[len(radii)/2]
+		var wantIDs []int
+		for j, d := range ds {
+			if d <= r {
+				wantIDs = append(wantIDs, j)
 			}
+		}
+		gotIDs := tr.RangeQuery(q, r)
+		sortInts(gotIDs)
+		if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
+			t.Fatalf("%s: RangeQuery(q%d) ids %v, brute force %v", label, qi, gotIDs, wantIDs)
+		}
+		order := make([]int, len(items))
+		for j := range order {
+			order[j] = j
+		}
+		sort.SliceStable(order, func(a, b int) bool { return ds[order[a]] < ds[order[b]] })
+		order = order[:min(5, len(order))]
+		wantD := make([]float64, len(order))
+		for i, j := range order {
+			wantD[i] = ds[j]
+		}
+		ki, kd := tr.KNN(q, 5)
+		if fmt.Sprint(ki) != fmt.Sprint(order) || fmt.Sprint(kd) != fmt.Sprint(wantD) {
+			t.Fatalf("%s: KNN(q%d) = %v/%v, brute force %v/%v", label, qi, ki, kd, order, wantD)
 		}
 	}
 }
@@ -68,7 +91,7 @@ func sortInts(a []int) {
 	}
 }
 
-func TestNewBulkQueryEquivalentVectors(t *testing.T) {
+func TestQueryMatchesBruteForceVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	trials := 12
 	if testing.Short() {
@@ -82,13 +105,12 @@ func TestNewBulkQueryEquivalentVectors(t *testing.T) {
 			pts = append(pts, append([]float64(nil), pts[rng.Intn(len(pts))]...))
 		}
 		capacity := []int{0, 4, 8}[trial%3]
-		ins := New(metric.Euclidean, capacity, pts)
-		blk := NewBulk(metric.Euclidean, capacity, pts)
-		assertQueryEquivalent(t, fmt.Sprintf("vectors/trial%d", trial), ins, blk, pts, randRadii(rng, 150))
+		tr := New(metric.Euclidean, capacity, pts)
+		assertMatchesBruteForce(t, fmt.Sprintf("vectors/trial%d", trial), tr, metric.Euclidean, pts, randRadii(rng, 150))
 	}
 }
 
-func TestNewBulkQueryEquivalentStrings(t *testing.T) {
+func TestQueryMatchesBruteForceStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	words := make([]string, 0, 260)
 	for i := 0; i < 260; i++ {
@@ -98,25 +120,24 @@ func TestNewBulkQueryEquivalentStrings(t *testing.T) {
 		}
 		words = append(words, string(stem[:4+rng.Intn(13)]))
 	}
-	ins := New(metric.Levenshtein, 8, words)
-	blk := NewBulk(metric.Levenshtein, 8, words)
-	assertQueryEquivalent(t, "strings", ins, blk, words, []float64{0, 1, 2, 3, 5, 8, 13})
+	tr := New(metric.Levenshtein, 8, words)
+	assertMatchesBruteForce(t, "strings", tr, metric.Levenshtein, words, []float64{0, 1, 2, 3, 5, 8, 13})
 }
 
-// TestNewBulkWorkerInvariant: the bulk-built tree must be identical for
+// TestBuildWorkerInvariant: the bulk-built tree must be identical for
 // every worker count — proven by comparing probe-by-probe metric work
 // (DistCalls on identical query sequences) and query results.
-func TestNewBulkWorkerInvariant(t *testing.T) {
+func TestBuildWorkerInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	pts := randPoints(rng, 3000, 2)
 	radii := randRadii(rng, 150)
-	serial := NewBulkWithWorkers(metric.Euclidean, 0, pts, 1)
+	serial := NewWithWorkers(metric.Euclidean, 0, pts, 1)
 	buildCalls := serial.DistCalls()
 	if buildCalls == 0 {
 		t.Fatal("serial bulk build performed no metric evaluations")
 	}
 	for _, workers := range []int{2, 8} {
-		par := NewBulkWithWorkers(metric.Euclidean, 0, pts, workers)
+		par := NewWithWorkers(metric.Euclidean, 0, pts, workers)
 		if p := par.DistCalls(); p != buildCalls {
 			t.Fatalf("workers=%d: build dist calls differ (%d vs %d): trees are not identical", workers, buildCalls, p)
 		}
@@ -138,13 +159,13 @@ func TestNewBulkWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestNewBulkBalancedHeight: the bulk build must hit the balanced minimum
-// height ⌈log_cap(n)⌉ — the property the insert path cannot guarantee.
-func TestNewBulkBalancedHeight(t *testing.T) {
+// TestBuildBalancedHeight: the bulk build must hit the balanced minimum
+// height ⌈log_cap(n)⌉.
+func TestBuildBalancedHeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, n := range []int{1, 30, 33, 1000, 5000} {
 		pts := randPoints(rng, n, 2)
-		blk := NewBulk(metric.Euclidean, 32, pts)
+		blk := New(metric.Euclidean, 32, pts)
 		want := 1
 		for span := 32; span < n; span *= 32 {
 			want++
@@ -155,26 +176,6 @@ func TestNewBulkBalancedHeight(t *testing.T) {
 		if err := blk.MaxCoverError(); err != 0 {
 			t.Errorf("n=%d: covering invariant violated by %v", n, err)
 		}
-	}
-}
-
-// TestNewBulkLowerOverlap pins the point of bulk loading: on clustered
-// data the bulk-built tree must overlap (fat factor) no more than the
-// insertion-built tree.
-func TestNewBulkLowerOverlap(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	var pts [][]float64
-	for b := 0; b < 12; b++ {
-		cx, cy := rng.Float64()*100, rng.Float64()*100
-		for i := 0; i < 150; i++ {
-			pts = append(pts, []float64{cx + rng.NormFloat64(), cy + rng.NormFloat64()})
-		}
-	}
-	ins := New(metric.Euclidean, 0, pts)
-	blk := NewBulk(metric.Euclidean, 0, pts)
-	fi, fb := ins.FatFactor(), blk.FatFactor()
-	if fb > fi {
-		t.Errorf("bulk fat factor %v exceeds insertion build's %v", fb, fi)
 	}
 }
 
@@ -191,19 +192,17 @@ func TestDiameterEstimateNonMonotoneVectorMetric(t *testing.T) {
 		return math.Abs((a[0]-a[1])-(b[0]-b[1])) / math.Sqrt2
 	}
 	pts := [][]float64{{0, 1}, {1, 0}, {0.5, 0.5}, {0.2, 0.8}, {0.9, 0.1}, {0, 0}, {1, 1}}
-	for _, tr := range []*Tree[[]float64]{New(proj, 4, pts), NewBulk(proj, 4, pts)} {
-		if got := tr.DiameterEstimate(); math.Abs(got-math.Sqrt2) > 1e-12 {
-			t.Errorf("diameter = %v, want √2 via the exact path", got)
-		}
+	if got := New(proj, 4, pts).DiameterEstimate(); math.Abs(got-math.Sqrt2) > 1e-12 {
+		t.Errorf("diameter = %v, want √2 via the exact path", got)
 	}
 }
 
-func TestNewBulkEdges(t *testing.T) {
-	empty := NewBulk(metric.Euclidean, 0, nil)
+func TestBuildEdges(t *testing.T) {
+	empty := New(metric.Euclidean, 0, nil)
 	if empty.Size() != 0 || empty.RangeCount([]float64{0}, 10) != 0 {
 		t.Error("empty bulk tree misbehaves")
 	}
-	one := NewBulk(metric.Euclidean, 0, [][]float64{{1, 2}})
+	one := New(metric.Euclidean, 0, [][]float64{{1, 2}})
 	if one.Size() != 1 || one.RangeCount([]float64{1, 2}, 0) != 1 {
 		t.Error("singleton bulk tree misbehaves")
 	}
@@ -211,7 +210,7 @@ func TestNewBulkEdges(t *testing.T) {
 	for i := range dups {
 		dups[i] = []float64{7, 7}
 	}
-	dup := NewBulk(metric.Euclidean, 4, dups)
+	dup := New(metric.Euclidean, 4, dups)
 	if got := dup.RangeCount([]float64{7, 7}, 0); got != 200 {
 		t.Errorf("all-duplicates bulk tree counts %d at r=0, want 200", got)
 	}

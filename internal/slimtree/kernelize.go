@@ -39,9 +39,8 @@ var euclideanPtr = reflect.ValueOf(metric.Euclidean).Pointer()
 
 // kernelize inspects the frozen tree and, when the element type is
 // []float64 and the metric is metric.Euclidean itself, flattens the
-// entry pivots into the entry-major coordinate column kc. Runs at every
-// freeze — insertion build, bulk load and SlimDown's re-freeze alike —
-// so the column always mirrors the live arena. Ragged or empty inputs
+// entry pivots into the entry-major coordinate column kc. Runs at
+// freeze, so the column always mirrors the arena. Ragged or empty inputs
 // keep the generic path.
 func (t *Tree[T]) kernelize() {
 	t.kc, t.kdim = nil, 0

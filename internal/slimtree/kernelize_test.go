@@ -47,7 +47,7 @@ func TestKernelizeDetection(t *testing.T) {
 	if it := New(intDist, 8, ints); it.kc != nil {
 		t.Fatal("non-vector elements must keep the generic path")
 	}
-	if bulk := NewBulk(metric.Euclidean, 8, pts); bulk.kc == nil {
+	if bulk := New(metric.Euclidean, 8, pts); bulk.kc == nil {
 		t.Fatal("bulk-loaded Euclidean tree should kernelize")
 	}
 }

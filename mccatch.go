@@ -184,8 +184,10 @@ func WithCustomCost(bitsPerUnit float64) Option {
 }
 
 // WithTreeCapacity sets the slim-tree node capacity (default 32). The
-// capacity must be at least 4 — below that the minMax split cannot
-// distribute entries.
+// capacity must be at least 4, the floor the slim-tree's bulk loader and
+// its index files enforce: a node of 2 or 3 entries holds too few pivots
+// for the k-medoid partition to separate clusters, and the tree grows
+// toward log₂ n levels, each paying its own pivot selection.
 func WithTreeCapacity(k int) Option {
 	return func(p *core.Params) error {
 		if k < 4 {
@@ -196,44 +198,12 @@ func WithTreeCapacity(k int) Option {
 	}
 }
 
-// WithInsertionBuild reverts slim-tree construction to the legacy
-// incremental insert path (ChooseSubtree + minMax splits). By default
-// every slim-tree is bulk-loaded: each level picks pivots from a sample of
-// its elements (k-medoid style) and partitions the elements under a
-// balance cap, which builds several times faster and yields compact,
-// low-overlap nodes that all queries — and the Step II dual-tree self-join
-// — prune against far more effectively. The two builds are
-// query-equivalent, so the detection Result is byte-identical either way;
-// this option exists for benchmarking the build paths against each other.
-func WithInsertionBuild() Option {
-	return func(p *core.Params) error {
-		p.InsertionBuild = true
-		return nil
-	}
-}
-
-// WithSlimDown enables the Slim-tree's slim-down reorganization (Traina
-// Jr. et al.) with the given number of passes after each tree build. It
-// reduces node overlap, which can cut distance computations on clustered
-// data; results are unchanged.
-func WithSlimDown(passes int) Option {
-	return func(p *core.Params) error {
-		if passes < 0 {
-			return fmt.Errorf("mccatch: WithSlimDown: passes must be ≥ 0, got %d", passes)
-		}
-		p.SlimDownPasses = passes
-		return nil
-	}
-}
-
 // WithWorkers sets the number of concurrent workers the pipeline uses for
 // its per-point work: the Step II neighbor-count curves, the Step III
 // gelling range queries, the Step IV bridge searches and scoring, and the
-// index builds (the default bulk-loaded slim-tree as well as the
-// kd-tree/R-tree under RunVectorsKD/RunVectorsR; only the legacy
-// WithInsertionBuild slim-tree path is inherently serial). n = 0 (the
-// default) means runtime.GOMAXPROCS(0); n = 1 forces a fully serial run;
-// negative counts are rejected. Each Step II worker keeps one private
+// index builds (the bulk-loaded slim-tree, kd-tree and R-tree alike).
+// n = 0 (the default) means runtime.GOMAXPROCS(0); n = 1 forces a fully
+// serial run; negative counts are rejected. Each Step II worker keeps one private
 // int32 count matrix, one row of radii+1 entries per indexed element and
 // per index node, so the self-join's memory grows linearly with n.
 //
@@ -310,9 +280,8 @@ func Run[T any](items []T, dist Distance[T], opts ...Option) (*Result, error) {
 // range counts and share one radii schedule — so only the constants
 // change. The slim-tree remains available three ways: RunVectorsSlim,
 // the generic Run(points, mccatch.Euclidean, ...), and implicitly
-// whenever a slim-tree-specific option (WithTreeCapacity,
-// WithInsertionBuild, WithSlimDown) is passed, so those options keep
-// their meaning.
+// whenever the slim-tree-specific option WithTreeCapacity is passed, so
+// that option keeps its meaning.
 func RunVectors(points [][]float64, opts ...Option) (*Result, error) {
 	d, err := BuildVectors(points, opts...)
 	if err != nil {
