@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"mccatch"
@@ -586,10 +587,23 @@ func BenchmarkFractalDimension(b *testing.B) {
 	}
 }
 
+// BenchmarkLevenshtein times one distance per path: ascii10 and ascii64 on
+// the bit-parallel kernel (the shorter side fits one machine word), nonASCII
+// and ascii100 on the rune dynamic program.
 func BenchmarkLevenshtein(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		metric.Levenshtein("brzezinski", "breszinsky")
+	pairs := []struct{ name, a, c string }{
+		{"ascii10", "brzezinski", "breszinsky"},
+		{"ascii64", "<" + strings.Repeat("abcdefg", 9)[:62] + ">", "[" + strings.Repeat("gfedcba", 10)[:62] + "]"},
+		{"nonASCII", "wiśniewski", "wisniewsky"},
+		{"ascii100", "<" + strings.Repeat("abcdefg", 15)[:98] + ">", "[" + strings.Repeat("gfedcba", 15)[:98] + "]"},
+	}
+	for _, p := range pairs {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				metric.Levenshtein(p.a, p.c)
+			}
+		})
 	}
 }
 

@@ -26,9 +26,10 @@ import (
 
 // fuzzQueryCap bounds the work done on a structurally valid decode so the
 // fuzzer spends its budget parsing, not range-counting giant inputs.
-// fuzzStrCap is much tighter: string queries pay O(len²) per Levenshtein
-// call, so a single crafted 64 KiB word would stall an exec for seconds
-// (and stall minimization for minutes).
+// fuzzStrCap is much tighter: a Levenshtein call is O(len) only for ASCII
+// words whose shorter side is at most 64 bytes, and quadratic otherwise, so
+// a single crafted non-ASCII or long 64 KiB word would stall an exec for
+// seconds (and stall minimization for minutes).
 const (
 	fuzzQueryCap = 1 << 12
 	fuzzStrCap   = 1 << 10
