@@ -531,39 +531,47 @@ func BenchmarkIncrementalQueryMerged(b *testing.B) {
 	}
 }
 
-// The Step II incremental self-join pair: CountAllMulti over the merged
-// layout (the same one frozen 9.9k segment + 100-point memtable split as
-// the query pair above) against the identical call on the compacted
-// single-segment layout, whose clean segment answers through its native
-// dual-tree self-join alone. The merged side resolves the memtable and
-// the cross-segment pairs through segment-vs-segment dual-tree cross
-// joins; the CI pair gate bounds its overhead at 1.5x the compacted
-// twin, so the cross-join path can never rot back toward the per-element
-// probe costs it replaced.
-func BenchmarkIncrementalCountAllMerged(b *testing.B)    { benchIncrementalCountAll(b, false) }
-func BenchmarkIncrementalCountAllCompacted(b *testing.B) { benchIncrementalCountAll(b, true) }
-
-func benchIncrementalCountAll(b *testing.B, compact bool) {
-	b.Helper()
+// The incremental Detect pair: Detect on a live set spread across
+// segments and a memtable (10k x 2d: 9.9k points compacted into one
+// segment, then 100 inserts at memtable cap 30, i.e. three more segments
+// and a 10-point memtable) against RunVectors over the same live points.
+// Detect runs one fresh build over a snapshot of the live set, so the CI
+// pair gate 'IncrementalDetect < 1.1*IncrementalDetectFresh' bounds what
+// the snapshot adds to a one-shot run.
+func BenchmarkIncrementalDetect(b *testing.B) {
 	b.ReportAllocs()
 	pts := randPoints(10000, 2)
-	m := segment.NewMutable(metric.Euclidean, func(sub [][]float64) index.Index[[]float64] {
-		return rtree.New(sub, 0)
-	}, len(pts)+1)
+	inc, err := mccatch.NewIncrementalVectors(2)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, p := range pts[:9900] {
-		m.Insert(p)
+		inc.Insert(p)
 	}
-	m.Freeze()
+	inc.Compact()
+	inc.SetMemtableCap(30)
 	for _, p := range pts[9900:] {
-		m.Insert(p)
+		inc.Insert(p)
 	}
-	if compact {
-		m.Compact()
+	if inc.Segments() < 4 {
+		b.Fatalf("live set spans %d segments, want ≥ 4", inc.Segments())
 	}
-	radii := geomRadii(m.DiameterEstimate(), 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.CountAllMulti(radii, 0)
+		if _, err := inc.Detect(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkIncrementalDetectFresh(b *testing.B) {
+	b.ReportAllocs()
+	pts := randPoints(10000, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mccatch.RunVectors(pts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -51,14 +51,13 @@ func main() {
 		explain = flag.Int("explain", -1, "explain why one point (by index) scored the way it did")
 		workers = flag.Int("workers", 0, "concurrent workers (0 = all cores, 1 = serial; output is identical)")
 		shards  = flag.Int("shards", 0, "concurrent per-shard pipelines (0 = default 1; output is identical for every value)")
-		incr    = flag.Bool("incremental", false, "feed the data through the mutable incremental layer (insert-all, compact, detect; output is identical)")
 		saveIdx = flag.String("save-index", "", "build the index from the input, save it to this file, and exit without detecting")
 		idxFile = flag.String("index-file", "", "open a saved index file instead of reading -input (mmap-backed; output is identical to the direct run)")
 		probe   = flag.Int("probe", -1, "print one element's neighbor-count curve (radius,count per line) instead of detecting")
 		maxHeap = flag.Int("max-heap", 0, "fail after the run if the Go heap obtained more than this many MiB from the OS (0 = no check)")
 	)
 	flag.Parse()
-	if msg := conflictingFlags(*incr, *saveIdx, *idxFile, *probe, *shards); msg != "" {
+	if msg := conflictingFlags(*saveIdx, *idxFile, *probe, *shards); msg != "" {
 		fmt.Fprintf(os.Stderr, "mccatch: %s\n\n", msg)
 		flag.Usage()
 		os.Exit(2)
@@ -79,17 +78,6 @@ func main() {
 	}
 	if *shards != 0 {
 		opts = append(opts, mccatch.WithShards(*shards))
-	}
-
-	if *incr {
-		r := openInput(*input)
-		res, describe, err := detectIncremental(*format, r, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report(res, describe, *summary, *explain, *top, *points)
-		checkHeap(*maxHeap)
-		return
 	}
 
 	switch *format {
@@ -136,17 +124,14 @@ func main() {
 }
 
 // conflictingFlags rejects flag combinations where one flag would have
-// to be silently ignored: the incremental layer has no on-disk form,
-// -save-index and -index-file each claim the index's home, -save-index
+// to be silently ignored: -save-index and -index-file each claim the index's home, -save-index
 // exits before any probe could run, and a sharded detector neither
 // saves to nor opens from an index file (the partition has no on-disk
 // format). A non-empty return is the usage error (the caller prints it
 // plus the flag summary and exits nonzero, so scripts fail loudly
 // instead of acting on half the flags).
-func conflictingFlags(incr bool, saveIdx, idxFile string, probe, shards int) string {
+func conflictingFlags(saveIdx, idxFile string, probe, shards int) string {
 	switch {
-	case incr && (saveIdx != "" || idxFile != ""):
-		return "-incremental cannot be combined with -save-index/-index-file (the incremental layer has no on-disk form)"
 	case saveIdx != "" && idxFile != "":
 		return "-save-index and -index-file are mutually exclusive (the index is already on disk)"
 	case saveIdx != "" && probe >= 0:
@@ -200,10 +185,6 @@ func run[T any](d *mccatch.Detector[T], describe func(i int) string, saveIdx str
 	if err != nil {
 		log.Fatal(err)
 	}
-	report(res, describe, summary, explain, top, points)
-}
-
-func report(res *mccatch.Result, describe func(i int) string, summary bool, explain, top int, points bool) {
 	if summary {
 		fmt.Print(res.Summary())
 	}
@@ -225,54 +206,6 @@ func checkHeap(maxHeapMiB int) {
 	runtime.ReadMemStats(&ms)
 	if got := ms.HeapSys >> 20; got > uint64(maxHeapMiB) {
 		log.Fatalf("heap grew to %d MiB, cap is %d MiB", got, maxHeapMiB)
-	}
-}
-
-// detectIncremental reads the dataset and runs it through the mutable
-// incremental layer (insert every element, compact, detect). The output
-// is byte-identical to the direct path; TestIncrementalCLIByteIdentical
-// pins it.
-func detectIncremental(format string, r io.Reader, opts []mccatch.Option) (*mccatch.Result, func(i int) string, error) {
-	switch format {
-	case "csv":
-		pts, err := readCSV(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		describe := func(i int) string { return fmt.Sprintf("row %d %v", i, pts[i]) }
-		inc, err := mccatch.NewIncrementalVectors(len(pts[0]), opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, p := range pts {
-			if _, err := inc.Insert(p); err != nil {
-				return nil, nil, err
-			}
-		}
-		inc.Compact()
-		res, err := inc.Detect()
-		return res, describe, err
-	case "text":
-		words, err := readLines(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		describe := func(i int) string { return fmt.Sprintf("line %d %q", i, words[i]) }
-		all := append([]mccatch.Option{mccatch.DeriveWordCost(words)}, opts...)
-		inc, err := mccatch.NewIncremental(mccatch.Levenshtein, all...)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, w := range words {
-			if _, err := inc.Insert(w); err != nil {
-				return nil, nil, err
-			}
-		}
-		inc.Compact()
-		res, err := inc.Detect()
-		return res, describe, err
-	default:
-		return nil, nil, fmt.Errorf("unknown -format %q (want csv or text)", format)
 	}
 }
 

@@ -88,8 +88,7 @@ func genText() string {
 	return b.String()
 }
 
-// detectOneShot replicates main's direct (non-incremental, in-memory)
-// path for a test: read, build the Detector, detect.
+// detectOneShot replicates main's direct (in-memory) path for a test: read, build the Detector, detect.
 func detectOneShot(format string, r io.Reader, opts []mccatch.Option) (*mccatch.Result, func(i int) string, error) {
 	switch format {
 	case "csv":
@@ -116,47 +115,6 @@ func detectOneShot(format string, r io.Reader, opts []mccatch.Option) (*mccatch.
 		return res, func(i int) string { return fmt.Sprintf("line %d %q", i, words[i]) }, err
 	default:
 		return nil, nil, fmt.Errorf("unknown format %q", format)
-	}
-}
-
-// TestIncrementalCLIByteIdentical pins the acceptance criterion: feeding
-// a dataset through the incremental layer (-incremental: insert-all,
-// compact, detect) prints byte-identical output to the one-shot path, on
-// both a CSV and a text dataset.
-func TestIncrementalCLIByteIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		format, data string
-	}{
-		{"csv", genCSV()},
-		{"text", genText()},
-	} {
-		t.Run(tc.format, func(t *testing.T) {
-			var fresh, incr bytes.Buffer
-			for _, mode := range []bool{false, true} {
-				var (
-					res      *mccatch.Result
-					describe func(i int) string
-					err      error
-				)
-				if mode {
-					res, describe, err = detectIncremental(tc.format, strings.NewReader(tc.data), nil)
-				} else {
-					res, describe, err = detectOneShot(tc.format, strings.NewReader(tc.data), nil)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				w := &fresh
-				if mode {
-					w = &incr
-				}
-				printResult(w, res, describe, 10, true)
-			}
-			if fresh.String() != incr.String() {
-				t.Fatalf("-incremental output differs from one-shot:\n--- fresh ---\n%s--- incremental ---\n%s",
-					fresh.String(), incr.String())
-			}
-		})
 	}
 }
 
@@ -371,7 +329,6 @@ func TestCheckHeap(t *testing.T) {
 func TestConflictingFlags(t *testing.T) {
 	cases := []struct {
 		name    string
-		incr    bool
 		saveIdx string
 		idxFile string
 		probe   int
@@ -383,32 +340,25 @@ func TestConflictingFlags(t *testing.T) {
 		{name: "save alone", saveIdx: "x.idx", probe: -1},
 		{name: "open alone", idxFile: "x.idx", probe: -1},
 		{name: "open+probe", idxFile: "x.idx", probe: 3},
-		{name: "incremental alone", incr: true, probe: -1},
-		{name: "incremental+save", incr: true, saveIdx: "x.idx", probe: -1, wantErr: true},
-		{name: "incremental+open", incr: true, idxFile: "x.idx", probe: -1, wantErr: true},
 		{name: "save+open", saveIdx: "x.idx", idxFile: "y.idx", probe: -1, wantErr: true},
 		{name: "save+probe", saveIdx: "x.idx", probe: 0, wantErr: true},
 		{name: "shards alone", probe: -1, shards: 4},
 		{name: "shards one+open", idxFile: "x.idx", probe: -1, shards: 1},
-		{name: "shards+incremental", incr: true, probe: -1, shards: 4},
 		{name: "shards+open", idxFile: "x.idx", probe: -1, shards: 2, wantErr: true},
 		{name: "shards+save", saveIdx: "x.idx", probe: -1, shards: 2, wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			msg := conflictingFlags(tc.incr, tc.saveIdx, tc.idxFile, tc.probe, tc.shards)
+			msg := conflictingFlags(tc.saveIdx, tc.idxFile, tc.probe, tc.shards)
 			if got := msg != ""; got != tc.wantErr {
-				t.Errorf("conflictingFlags(%v,%q,%q,%d,%d) = %q, want error %v",
-					tc.incr, tc.saveIdx, tc.idxFile, tc.probe, tc.shards, msg, tc.wantErr)
+				t.Errorf("conflictingFlags(%q,%q,%d,%d) = %q, want error %v",
+					tc.saveIdx, tc.idxFile, tc.probe, tc.shards, msg, tc.wantErr)
 			}
 		})
 	}
 }
 
 func TestDetectUnknownFormat(t *testing.T) {
-	if _, _, err := detectIncremental("xml", strings.NewReader("x"), nil); err == nil {
-		t.Error("unknown format should error")
-	}
 	if _, _, err := detectOneShot("xml", strings.NewReader("x"), nil); err == nil {
 		t.Error("unknown format should error")
 	}

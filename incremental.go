@@ -14,13 +14,14 @@ import (
 // Incremental is a mutable MCCATCH detector: a dataset that accepts
 // Insert and Delete between detections, indexed by an LSM-style layer —
 // a small mutable memtable in front of frozen immutable index segments —
-// so no detection ever rebuilds the full index from scratch.
+// so probes and ingests never rebuild the full index.
 //
-// Detect is EXACTLY equivalent to a one-shot run over the current live
-// set: inserts and deletes never change the answer, only the work done
-// to produce it. Element indices in the Result (Microcluster.Members,
-// PointScores, the Oracle plot) refer to the live elements in insertion
-// order, i.e. the slice a fresh run would have been given.
+// Detect runs the one-shot pipeline over a snapshot of the live set, with
+// a fresh build of the same index a one-shot run uses; the build is a few
+// percent of a detection. Element indices in the Result
+// (Microcluster.Members, PointScores, the Oracle plot) refer to the live
+// elements in insertion order, i.e. the slice a fresh run would have been
+// given.
 //
 // An Incremental is not safe for concurrent mutation; the worker fan-out
 // inside one Detect call is.
@@ -29,7 +30,7 @@ type Incremental[T any] struct {
 	builder  index.Builder[T]
 	params   core.Params
 	validate func(T) error
-	// dist and euclidean feed the sharded Detect path (WithShards > 1),
+	// dist and euclidean feed Detect's sharded path (WithShards > 1),
 	// which partitions the live set per detection; euclidean marks the
 	// vector constructor so the cut can use tiles.
 	dist      Distance[T]
@@ -125,7 +126,7 @@ func (inc *Incremental[T]) Insert(x T) (int64, error) {
 func (inc *Incremental[T]) Delete(handle int64) bool { return inc.m.Delete(handle) }
 
 // Freeze forces the current memtable into a new immutable segment (no-op
-// when empty), so subsequent detections run entirely over frozen arenas.
+// when empty), so subsequent probes run entirely over frozen arenas.
 func (inc *Incremental[T]) Freeze() { inc.m.Freeze() }
 
 // Compact rebuilds all segments and the memtable into one fresh segment
@@ -147,22 +148,13 @@ func (inc *Incremental[T]) Tombstones() int { return inc.m.Tombstones() }
 // segment (n ≤ 0 restores the default).
 func (inc *Incremental[T]) SetMemtableCap(n int) { inc.m.SetMemtableCap(n) }
 
-// Detect runs MCCATCH over the current live set, reusing the frozen
-// segments: Steps I, II and IV answer their joins as exact merges across
-// the segments and the memtable instead of rebuilding the full index.
-// The Result is identical to a one-shot run over the live elements.
-//
-// Under WithShards(n), n > 1, Detect instead snapshots the live set and
-// runs the shard-parallel pipeline over a fresh deterministic partition
-// of it — the LSM layer still absorbs the mutations, but the detection
-// indexes are per-shard builds. The Result is still identical (the
-// shard merge is exact); the trade is rebuild cost per detection for
-// shard-level parallelism during it.
+// Detect runs MCCATCH over a snapshot of the current live set: one fresh
+// build and the one-shot pipeline (the shard-parallel one under
+// WithShards(n), n > 1), so the Result is identical to a one-shot run
+// over the live elements by construction. The segments serve Probe and
+// Radii only.
 func (inc *Incremental[T]) Detect() (*Result, error) {
-	if inc.params.Shards > 1 {
-		return core.RunSharded(inc.m.Live(), inc.dist, inc.builder, inc.params, inc.euclidean)
-	}
-	return core.RunIncremental[T](inc.m, inc.builder, inc.params)
+	return core.RunSharded(inc.m.Live(), inc.dist, inc.builder, inc.params, inc.euclidean)
 }
 
 // Epoch returns the live-set mutation counter: it changes exactly when

@@ -1,10 +1,13 @@
 package mccatch
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"mccatch/internal/core"
 )
 
 // TestIncrementalMatchesRunVectors pins the public contract: after any
@@ -257,5 +260,50 @@ func TestIncrementalVectorsValidation(t *testing.T) {
 	}
 	if _, err := inc.Detect(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIncrementalDetectEmpty pins the empty-live-set error: Detect on a
+// new detector, and again once every element is deleted (one frozen
+// tombstone and one memtable splice), returns core.ErrEmptyDataset.
+func TestIncrementalDetectEmpty(t *testing.T) {
+	vec, err := NewIncrementalVectors(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDetectEmpty(t, "NewIncrementalVectors", vec, []float64{1, 1}, []float64{2, 3})
+	str, err := NewIncremental(Levenshtein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDetectEmpty(t, "NewIncremental", str, "smith", "smyth")
+}
+
+func checkDetectEmpty[T any](t *testing.T, name string, inc *Incremental[T], frozen, mem T) {
+	t.Helper()
+	if _, err := inc.Detect(); !errors.Is(err, core.ErrEmptyDataset) {
+		t.Fatalf("%s: Detect on a new detector: err = %v, want ErrEmptyDataset", name, err)
+	}
+	var handles []int64
+	for _, x := range []T{frozen, mem} {
+		h, err := inc.Insert(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+		if len(handles) == 1 {
+			inc.Freeze()
+		}
+	}
+	for _, h := range handles {
+		if !inc.Delete(h) {
+			t.Fatalf("%s: Delete(%d) = false for a live handle", name, h)
+		}
+	}
+	if inc.Segments() != 1 || inc.Tombstones() != 1 {
+		t.Fatalf("%s: segments = %d, tombstones = %d; want one of each", name, inc.Segments(), inc.Tombstones())
+	}
+	if _, err := inc.Detect(); !errors.Is(err, core.ErrEmptyDataset) {
+		t.Fatalf("%s: Detect after deleting everything: err = %v, want ErrEmptyDataset", name, err)
 	}
 }

@@ -7,8 +7,8 @@
 // of any capacity, the coordinate trees, and any memtable/segment
 // arrangement of the incremental layer all report the same value over the
 // same live set. That invariant is what makes the pipeline output
-// identical across backends (pinned by core's backend and incremental
-// equivalence tests); an estimator that walked an index and aborted on a
+// identical across backends (pinned by core's backend equivalence tests
+// and the segment layer's fuzz target); an estimator that walked an index and aborted on a
 // budget would break it.
 package diameter
 

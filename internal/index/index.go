@@ -29,12 +29,6 @@
 //   - QueryAppender lets callers pass a reusable scratch buffer to range
 //     queries, cutting per-probe garbage on the hot paths.
 //   - KNNer exposes k-nearest-neighbor search where a backend has one.
-//
-// Everything here is also satisfied by internal/segment's Mutable, the
-// LSM-style incremental layer: it merges every answer across a mutable
-// memtable and one or more frozen arena segments (counts add, per-query
-// minima take min, tombstones are subtracted at merge), so the pipeline
-// runs unchanged over a dataset under inserts and deletes.
 package index
 
 // Index answers range queries over an indexed dataset of element type T.
@@ -105,9 +99,7 @@ type CrossMultiCounter[T any] interface {
 // radius (all Step IV needs), this returns each query's full neighbor
 // count at every radius of an ascending schedule — the quantity the
 // shard-parallel pipeline sums across shards to reconstruct Step II's
-// exact global counts, and the quantity the incremental layer's
-// segment-vs-segment merge adds and subtracts. Implementations
-// bulk-build a throwaway tree over the queries and classify query
+// exact global counts. Implementations bulk-build a throwaway tree over the queries and classify query
 // subtrees against index subtrees wholesale, exactly like the self-join
 // but crediting one-directionally. All three bundled trees implement
 // it; join.CrossMultiRadiusCounts falls back to batched per-query
@@ -123,9 +115,8 @@ type CrossCounter[T any] interface {
 
 // KNNer is the optional k-nearest-neighbor extension. The slim-tree and
 // kd-tree answer it natively (best-first traversals with ties settled by
-// insertion id); callers that need it on another backend — notably the
-// incremental layer's per-segment merge, which falls back to scanning a
-// segment's stored elements — must tolerate its absence.
+// insertion id); callers that need it on another backend must tolerate
+// its absence.
 type KNNer[T any] interface {
 	// KNN returns the ids of the k indexed elements nearest to q together
 	// with their distances, sorted ascending by (distance, id); fewer than

@@ -1,40 +1,36 @@
 // Package segment is the incremental layer over the frozen index arenas:
 // an LSM-style Mutable index that absorbs inserts and deletes in front of
 // one or more immutable "segments" (frozen arena trees built by any
-// index.Builder), and answers every query of the MCCATCH pipeline as a
-// merge across them.
+// index.Builder). It serves the daemon's probe path — multi-radius
+// neighbor counts and the live set's diameter estimate — as an exact
+// merge across them. A detection does not run on the segments: it takes
+// a snapshot with Live() and runs the pipeline over a fresh build, which
+// costs a few percent of the detection and makes its equivalence with a
+// one-shot run hold by construction.
 //
 // The design mirrors an LSM tree transplanted to metric indexes:
 //
-//   - Inserts land in a small mutable MEMTABLE (a plain slice, scanned
-//     linearly — at its bounded size a scan beats any tree). When the
-//     memtable reaches its cap it is FROZEN: a new immutable segment is
+//   - Inserts land in a small mutable MEMTABLE. When the memtable
+//     reaches its cap it is FROZEN: a new immutable segment is
 //     bulk-built over its elements and the memtable empties.
 //   - Deletes are TOMBSTONES: a segment element is marked dead and kept in
-//     the arena; merged answers subtract the dead elements' contributions
-//     (a count probe subtracts the dead elements within the radius, a
-//     range query filters them, KNN over-fetches by the tombstone count).
-//     Memtable deletes splice the entry out directly.
+//     the arena; a merged count subtracts the dead elements within the
+//     radius. Memtable deletes splice the entry out directly.
 //   - COMPACTION rebuilds everything — all segments' live elements plus
-//     the memtable, in global id order — into ONE fresh segment with no
-//     tombstones. A compacted Mutable is literally a fresh bulk build
-//     over the live set, which is what makes the equivalence proof
-//     (identical pipeline Result, byte-identical CLI output) exact.
+//     the memtable, in sequence order — into ONE fresh segment with no
+//     tombstones.
 //
 // Identity discipline: every insert takes a monotone sequence number (its
-// permanent handle); the live set in sequence order defines the DENSE
-// GLOBAL IDS 0..Size()-1 that all query answers are keyed by. Segments
-// are frozen in sequence order and the memtable holds the newest
-// elements, so walking segments in creation order and then the memtable,
-// skipping tombstones, enumerates the live set in global id order — and a
-// fresh index bulk-built over Live() assigns exactly the same ids, so
-// merged answers and fresh-build answers agree element for element.
+// permanent handle). Segments are frozen in sequence order and the
+// memtable holds the newest elements, so walking segments in creation
+// order and then the memtable, skipping tombstones, enumerates the live
+// set in sequence order. Positions in that order are the DENSE GLOBAL IDS
+// 0..Size()-1: the order Live() returns and a fresh run is given.
 //
-// Every merge is EXACT, never approximate: counts add across segments,
-// per-query minima (bridge firsts, KNN) take the minimum, and tombstone
-// corrections are computed with real metric evaluations against the few
-// dead elements. Per-segment radius fences (pivot distance vs. the
-// segment's covering radius) skip segments a query ball cannot touch.
+// Every merge is EXACT, never approximate: counts add across segments
+// and tombstone corrections are answered by an index over the few dead
+// elements. Per-segment radius fences (pivot distance vs. the segment's
+// covering radius) skip segments a query ball cannot touch.
 package segment
 
 import (
@@ -81,9 +77,6 @@ type seg[T any] struct {
 	// bit-equal to a fresh build even when a distance lands exactly on a
 	// radius.
 	deadTree index.Index[T]
-	// global maps local id → dense global id (-1 when dead); refreshed
-	// lazily by Mutable.refreshIDs.
-	global []int
 	// Radius fence: every element lies within maxR of pivot, so a query
 	// ball B(q, r) with d(q, pivot) - maxR > r cannot touch the segment
 	// (live or dead) and the whole segment is skipped.
@@ -102,10 +95,8 @@ func (s *seg[T]) fenced(dq, r float64) bool {
 	return dq-s.maxR > r+1e-9*(dq+s.maxR+r)
 }
 
-// Mutable is the incremental index: an index.Index (plus every optional
-// extension the joins dispatch on) over a dataset that supports Insert
-// and Delete between queries. Methods are not safe for concurrent
-// mutation; the worker fan-out INSIDE one query call is.
+// Mutable is the incremental index over a dataset that supports Insert
+// and Delete between queries. Methods are not safe for concurrent use.
 type Mutable[T any] struct {
 	d      metric.Distance[T]
 	build  index.Builder[T]
@@ -134,7 +125,6 @@ type Mutable[T any] struct {
 	// Dense-id cache, rebuilt lazily after any mutation.
 	idsDirty bool
 	refs     []loc // global id → location
-	memBase  int   // global id of the first memtable entry
 	live     int
 
 	// Bounding-box diameter fast path (see DeclareMonotone): the live
@@ -267,12 +257,11 @@ func (m *Mutable[T]) Compact() {
 // bulk-builds the arena tree and measures the pivot fence.
 func (m *Mutable[T]) newSeg(elems []T, seqs []int64) *seg[T] {
 	s := &seg[T]{
-		tree:   m.build(elems),
-		elems:  elems,
-		seqs:   seqs,
-		dead:   make([]bool, len(elems)),
-		global: make([]int, len(elems)),
-		pivot:  elems[0],
+		tree:  m.build(elems),
+		elems: elems,
+		seqs:  seqs,
+		dead:  make([]bool, len(elems)),
+		pivot: elems[0],
 	}
 	for _, x := range elems {
 		if r := m.d(s.pivot, x); r > s.maxR {
@@ -292,15 +281,11 @@ func (m *Mutable[T]) refreshIDs() {
 	m.refs = m.refs[:0]
 	for si, s := range m.segs {
 		for k := range s.elems {
-			if s.dead[k] {
-				s.global[k] = -1
-				continue
+			if !s.dead[k] {
+				m.refs = append(m.refs, loc{seg: si, local: k})
 			}
-			s.global[k] = len(m.refs)
-			m.refs = append(m.refs, loc{seg: si, local: k})
 		}
 	}
-	m.memBase = len(m.refs)
 	for k := range m.mem {
 		m.refs = append(m.refs, loc{seg: -1, local: k})
 	}
@@ -309,8 +294,7 @@ func (m *Mutable[T]) refreshIDs() {
 }
 
 // memIndex returns the lazily built index over the memtable, or nil when
-// the memtable is empty. Callers that fan queries out across workers must
-// materialize it (and any deadIndex) BEFORE the parallel section.
+// the memtable is empty.
 func (m *Mutable[T]) memIndex() index.Index[T] {
 	if len(m.mem) == 0 {
 		return nil
@@ -387,7 +371,7 @@ func (m *Mutable[T]) Tombstones() int {
 // DiameterEstimate estimates the live set's diameter with the shared
 // structure-independent estimator — the same values every fresh-built
 // backend reports (internal/diameter is data-only by construction), so
-// the radii schedule of an incremental run matches a fresh run's.
+// a probe's radii schedule matches the one a fresh build derives.
 //
 // Under DeclareMonotone the answer comes from the incrementally
 // maintained bounding box in O(dim) instead of an O(n) sweep — by

@@ -27,9 +27,8 @@ func randPoint(rng *rand.Rand, dim int) []float64 {
 	return p
 }
 
-// checkAgainstOracle compares every merged query of m against brute force
-// over the live set and against a fresh bulk build (which defines the
-// dense ids m must reproduce).
+// checkAgainstOracle compares the merged counts of m against brute force
+// over the live set, and its diameter against a fresh bulk build.
 func checkAgainstOracle(t *testing.T, m *Mutable[[]float64], build index.Builder[[]float64], radii []float64, queries [][]float64) {
 	t.Helper()
 	live := m.Live()
@@ -46,111 +45,29 @@ func checkAgainstOracle(t *testing.T, m *Mutable[[]float64], build index.Builder
 				want[e]++
 			}
 		}
-		got := m.RangeCountMulti(q, radii)
+		got := m.RangeCountMultiAppend(q, radii, nil)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: RangeCountMulti = %v, brute force = %v", qi, got, want)
+			t.Fatalf("query %d: RangeCountMultiAppend = %v, brute force = %v", qi, got, want)
 		}
 		for e, r := range radii {
-			if c := m.RangeCount(q, r); c != want[e] {
-				t.Fatalf("query %d radius %v: RangeCount = %d, brute force = %d", qi, r, c, want[e])
+			if c := count(m, q, r); c != want[e] {
+				t.Fatalf("query %d radius %v: single-radius count = %d, brute force = %d", qi, r, c, want[e])
 			}
-		}
-
-		// Range query ids: ascending dense ids of live elements within r.
-		r := radii[a/2]
-		var wantIDs []int
-		for g, x := range live {
-			if metric.Euclidean(q, x) <= r {
-				wantIDs = append(wantIDs, g)
-			}
-		}
-		gotIDs := m.RangeQuery(q, r)
-		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("query %d: RangeQuery ids = %v, brute force = %v", qi, gotIDs, wantIDs)
-		}
-		for i := range wantIDs {
-			if gotIDs[i] != wantIDs[i] {
-				t.Fatalf("query %d: RangeQuery ids = %v, brute force = %v", qi, gotIDs, wantIDs)
-			}
-		}
-
-		// KNN: top-k by (distance, id).
-		k := 3
-		type cand struct {
-			id int
-			d  float64
-		}
-		cands := make([]cand, len(live))
-		for g, x := range live {
-			cands[g] = cand{id: g, d: metric.Euclidean(q, x)}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].d != cands[j].d {
-				return cands[i].d < cands[j].d
-			}
-			return cands[i].id < cands[j].id
-		})
-		ids, dists := m.KNN(q, k)
-		wk := k
-		if wk > len(cands) {
-			wk = len(cands)
-		}
-		if len(ids) != wk {
-			t.Fatalf("query %d: KNN returned %d ids, want %d", qi, len(ids), wk)
-		}
-		for i := 0; i < wk; i++ {
-			if ids[i] != cands[i].id || dists[i] != cands[i].d {
-				t.Fatalf("query %d: KNN[%d] = (%d, %v), brute force = (%d, %v)",
-					qi, i, ids[i], dists[i], cands[i].id, cands[i].d)
-			}
-		}
-	}
-
-	// Self-join matrix vs brute force, at several worker counts.
-	n := len(live)
-	wantAll := make([][]int, a)
-	for e := range wantAll {
-		wantAll[e] = make([]int, n)
-	}
-	for g, x := range live {
-		for _, y := range live {
-			for e := sort.SearchFloat64s(radii, metric.Euclidean(x, y)); e < a; e++ {
-				wantAll[e][g]++
-			}
-		}
-	}
-	for _, workers := range []int{1, 3} {
-		gotAll := m.CountAllMulti(radii, workers)
-		if !reflect.DeepEqual(gotAll, wantAll) {
-			t.Fatalf("CountAllMulti(workers=%d) = %v, brute force = %v", workers, gotAll, wantAll)
-		}
-	}
-
-	// Bridge firsts vs brute force.
-	wantFirsts := make([]int, len(queries))
-	for i, q := range queries {
-		nearest := math.Inf(1)
-		for _, x := range live {
-			if d := metric.Euclidean(q, x); d < nearest {
-				nearest = d
-			}
-		}
-		wantFirsts[i] = sort.SearchFloat64s(radii, nearest)
-	}
-	for _, workers := range []int{1, 3} {
-		gotFirsts := m.BridgeFirsts(queries, radii, workers)
-		if !reflect.DeepEqual(gotFirsts, wantFirsts) {
-			t.Fatalf("BridgeFirsts(workers=%d) = %v, brute force = %v", workers, gotFirsts, wantFirsts)
 		}
 	}
 
 	// Diameter matches the fresh build's (radii schedules must agree).
-	if n > 0 {
+	if len(live) > 0 {
 		fresh := build(live)
 		if g, w := m.DiameterEstimate(), fresh.DiameterEstimate(); g != w {
 			t.Fatalf("DiameterEstimate = %v, fresh build = %v", g, w)
 		}
 	}
+}
+
+// count returns the number of live elements of m within r of q.
+func count(m *Mutable[[]float64], q []float64, r float64) int {
+	return m.RangeCountMultiAppend(q, []float64{r}, nil)[0]
 }
 
 // TestMergedQueriesMatchBruteForce drives a random insert/delete script
@@ -248,11 +165,8 @@ func TestAllPointsDeletedSegment(t *testing.T) {
 	if m2.Size() != 0 {
 		t.Fatalf("Size after deleting everything = %d", m2.Size())
 	}
-	if got := m2.RangeCount([]float64{0, 0}, 100); got != 0 {
-		t.Fatalf("RangeCount on empty live set = %d", got)
-	}
-	if ids, _ := m2.KNN([]float64{0, 0}, 3); len(ids) != 0 {
-		t.Fatalf("KNN on empty live set returned %v", ids)
+	if got := count(m2, []float64{0, 0}, 100); got != 0 {
+		t.Fatalf("count on empty live set = %d", got)
 	}
 	if d := m2.DiameterEstimate(); d != 0 {
 		t.Fatalf("DiameterEstimate on empty live set = %v", d)
@@ -282,21 +196,21 @@ func TestDeleteThenReinsert(t *testing.T) {
 	if m.Delete(999) {
 		t.Fatal("Delete of unknown handle = true")
 	}
-	if got := m.RangeCount(p, 0.1); got != 0 {
-		t.Fatalf("deleted element still counted: RangeCount = %d", got)
+	if got := count(m, p, 0.1); got != 0 {
+		t.Fatalf("deleted element still counted: count = %d", got)
 	}
 	h2 := m.Insert(p)
 	if h2 == h1 {
 		t.Fatalf("reinsert returned the old handle %d", h1)
 	}
-	if got := m.RangeCount(p, 0.1); got != 1 {
-		t.Fatalf("reinserted element not counted: RangeCount = %d", got)
+	if got := count(m, p, 0.1); got != 1 {
+		t.Fatalf("reinserted element not counted: count = %d", got)
 	}
 	if !m.Delete(h2) {
 		t.Fatal("Delete(h2) = false")
 	}
-	if got := m.RangeCount(p, 0.1); got != 0 {
-		t.Fatalf("after deleting the reinsert: RangeCount = %d", got)
+	if got := count(m, p, 0.1); got != 0 {
+		t.Fatalf("after deleting the reinsert: count = %d", got)
 	}
 }
 
@@ -320,10 +234,8 @@ func TestQueryStraddlingCompaction(t *testing.T) {
 	liveBefore := m.Live()
 	counts := make([][]int, len(queries))
 	for i, q := range queries {
-		counts[i] = m.RangeCountMulti(q, radii)
+		counts[i] = m.RangeCountMultiAppend(q, radii, nil)
 	}
-	all := m.CountAllMulti(radii, 2)
-	firsts := m.BridgeFirsts(queries, radii, 2)
 	diam := m.DiameterEstimate()
 
 	m.Compact()
@@ -335,15 +247,9 @@ func TestQueryStraddlingCompaction(t *testing.T) {
 		t.Fatal("Compact changed the live set or its order")
 	}
 	for i, q := range queries {
-		if got := m.RangeCountMulti(q, radii); !reflect.DeepEqual(got, counts[i]) {
+		if got := m.RangeCountMultiAppend(q, radii, nil); !reflect.DeepEqual(got, counts[i]) {
 			t.Fatalf("query %d: counts changed across Compact: %v vs %v", i, got, counts[i])
 		}
-	}
-	if got := m.CountAllMulti(radii, 2); !reflect.DeepEqual(got, all) {
-		t.Fatal("CountAllMulti changed across Compact")
-	}
-	if got := m.BridgeFirsts(queries, radii, 2); !reflect.DeepEqual(got, firsts) {
-		t.Fatal("BridgeFirsts changed across Compact")
 	}
 	if got := m.DiameterEstimate(); got != diam {
 		t.Fatalf("DiameterEstimate changed across Compact: %v vs %v", got, diam)
@@ -352,69 +258,6 @@ func TestQueryStraddlingCompaction(t *testing.T) {
 	h := handles[0]
 	if !m.Delete(h) {
 		t.Fatal("Delete of a pre-compaction handle failed after Compact")
-	}
-}
-
-// TestInlierViewMatchesFreshBuild pins the Step IV contract: the masked
-// view answers exactly like a fresh index bulk-built over the kept
-// subset, with the same dense ids.
-func TestInlierViewMatchesFreshBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	m := NewMutable(metric.Euclidean, rtreeBuilder, 7)
-	var handles []int64
-	for i := 0; i < 50; i++ {
-		handles = append(handles, m.Insert(randPoint(rng, 2)))
-	}
-	for i := 0; i < 8; i++ {
-		j := rng.Intn(len(handles))
-		m.Delete(handles[j])
-		handles = append(handles[:j], handles[j+1:]...)
-	}
-	live := m.Live()
-	excluded := make([]bool, len(live))
-	var kept [][]float64
-	for g := range live {
-		if rng.Intn(3) == 0 {
-			excluded[g] = true
-		} else {
-			kept = append(kept, live[g])
-		}
-	}
-	view := m.InlierView(excluded)
-	fresh := rtreeBuilder(kept)
-	if view.Size() != fresh.Size() {
-		t.Fatalf("view Size = %d, fresh = %d", view.Size(), fresh.Size())
-	}
-	radii := []float64{0.5, 2, 8, 32}
-	queries := [][]float64{{0, 0}, {6, 6}, {-9, 2}, {3, -8}}
-	for qi, q := range queries {
-		for _, r := range radii {
-			if g, w := view.RangeCount(q, r), fresh.RangeCount(q, r); g != w {
-				t.Fatalf("query %d r=%v: view RangeCount = %d, fresh = %d", qi, r, g, w)
-			}
-		}
-		gotIDs := view.RangeQuery(q, radii[2])
-		wantIDs := fresh.RangeQuery(q, radii[2])
-		sort.Ints(wantIDs)
-		if !reflect.DeepEqual(append([]int{}, gotIDs...), append([]int{}, wantIDs...)) {
-			t.Fatalf("query %d: view RangeQuery = %v, fresh = %v", qi, gotIDs, wantIDs)
-		}
-	}
-	vf := view.(*View[[]float64]).BridgeFirsts(queries, radii, 2)
-	ff := fresh.(index.CrossMultiCounter[[]float64]).BridgeFirsts(queries, radii, 2)
-	if !reflect.DeepEqual(vf, ff) {
-		t.Fatalf("view BridgeFirsts = %v, fresh = %v", vf, ff)
-	}
-	if g, w := view.DiameterEstimate(), fresh.DiameterEstimate(); g != w {
-		t.Fatalf("view DiameterEstimate = %v, fresh = %v", g, w)
-	}
-	// A nil mask keeps everything: the view must agree with the Mutable.
-	full := m.InlierView(nil)
-	if full.Size() != m.Size() {
-		t.Fatalf("nil-mask view Size = %d, want %d", full.Size(), m.Size())
-	}
-	if g, w := full.RangeCount(queries[0], 8), m.RangeCount(queries[0], 8); g != w {
-		t.Fatalf("nil-mask view RangeCount = %d, Mutable = %d", g, w)
 	}
 }
 
